@@ -13,12 +13,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from .engine import ScenarioConfig, run_scenario, trace_lines
+from .engine import ScenarioConfig, deploy, run_scenario, trace_lines
 from .metrics import emit_csv, run_experiment_matrix
 from .mobility import generate_tour, tour_export_lines
-from .partitioning import quadrant_partition
-from .placement import cnp_initial_sink_position
-from .core import generate_network
 
 
 class ConfigError(Exception):
@@ -218,14 +215,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_tour(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    field = generate_network(config.n, config.base_side, config.base_n,
-                             config.comm_range, config.seed, config.initial_energy)
-    tours = []
-    for partition in quadrant_partition(field):
-        if not partition.member_ids:
-            continue
-        placement = cnp_initial_sink_position(field, partition)
-        tours.append(generate_tour(field, partition, placement))
+    field, partitions, placements, _ = deploy(config)
+    tours = [
+        generate_tour(field, partition, placement)
+        for partition, placement in zip(partitions, placements)
+        if placement is not None
+    ]
     _write_output(args, "\n".join(tour_export_lines(tours)) + "\n")
     return 0
 

@@ -36,10 +36,6 @@ class NetworkField:
         return {node.id: node for node in self.nodes}
 
 
-def euclidean_distance(a: Position, b: Position) -> float:
-    return math.dist(a, b)
-
-
 def centroid(points: list[Position]) -> Position:
     if not points:
         raise ValueError("empty point set")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import NetworkField, Position, generate_network, one_hop_neighbors
@@ -74,8 +74,12 @@ class ScenarioConfig:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.sources_per_round < 1:
             raise ValueError(f"sources_per_round must be >= 1, got {self.sources_per_round}")
-        if self.base_side <= 0 or self.comm_range <= 0 or self.initial_energy <= 0:
-            raise ValueError("base_side, comm_range and initial_energy must be positive")
+        for name in ("base_side", "comm_range", "initial_energy", "e_elec", "e_amp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.packet_bits < 1:
+            raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
 
     def radio(self) -> RadioEnergyModel:
         return RadioEnergyModel(self.e_elec, self.e_amp, self.packet_bits)
@@ -166,37 +170,47 @@ def _quadrant_center(partition: Partition) -> Position:
     return Position((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
 
 
-def run_scenario(config: ScenarioConfig) -> SimulationTrace:
-    """Generate, place, (in mobile mode) plan tours, then simulate rounds."""
+def deploy(
+    config: ScenarioConfig,
+) -> tuple[NetworkField, list[Partition], list[Optional[SinkPlacement]], list[frozenset[int]]]:
+    """The seeded setup every consumer of a scenario shares: deployment,
+    quadrant split, a CNP placement per non-empty partition and each sink's
+    initial 1-hop neighbor set. Empty partitions get no placement and an
+    empty neighbor set."""
     field = generate_network(
         config.n, config.base_side, config.base_n, config.comm_range,
         config.seed, config.initial_energy,
     )
     partitions = quadrant_partition(field)
-    model = config.radio()
+    placements = [
+        cnp_initial_sink_position(field, partition) if partition.member_ids else None
+        for partition in partitions
+    ]
+    neighbor_sets = [
+        frozenset(one_hop_neighbors(field, placement.position))
+        if placement is not None else frozenset()
+        for placement in placements
+    ]
+    return field, partitions, placements, neighbor_sets
 
-    placements: list[Optional[SinkPlacement]] = []
-    tours: list[Optional[SojournTour]] = []
-    states: list[Optional[_PartitionState]] = []
-    initial_neighbor_sets: list[frozenset[int]] = []
-    for partition in partitions:
-        if not partition.member_ids:
-            placements.append(None)
-            tours.append(None)
-            states.append(None)
-            initial_neighbor_sets.append(frozenset())
-            continue
-        placement = cnp_initial_sink_position(field, partition)
-        placements.append(placement)
-        if config.mode == "mobile":
-            tour = generate_tour(field, partition, placement)
-            tours.append(tour)
-            cycle = tour.cycle()
-        else:
-            tours.append(None)
-            cycle = (placement.position,)
-        states.append(_PartitionState(partition, field, cycle))
-        initial_neighbor_sets.append(frozenset(one_hop_neighbors(field, placement.position)))
+
+def run_scenario(config: ScenarioConfig) -> SimulationTrace:
+    """Deploy and place, (in mobile mode) plan tours, then simulate rounds."""
+    field, partitions, placements, initial_neighbor_sets = deploy(config)
+    model = config.radio()
+    mobile = config.mode == "mobile"
+    tours = [
+        generate_tour(field, partition, placement)
+        if mobile and placement is not None else None
+        for partition, placement in zip(partitions, placements)
+    ]
+    states = [
+        _PartitionState(
+            partition, field, tour.cycle() if tour is not None else (placement.position,)
+        )
+        if placement is not None else None
+        for partition, placement, tour in zip(partitions, placements, tours)
+    ]
 
     by_id = field.by_id
     part_of = {}
@@ -308,7 +322,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     return SimulationTrace(
         config=config,
         placements=placements,
-        tours=tours if config.mode == "mobile" else None,
+        tours=tours if mobile else None,
         rounds=rounds,
         initial_neighbor_sets=initial_neighbor_sets,
         field=field,
@@ -346,6 +360,3 @@ def parse_trace_lines(lines: list[str]) -> list[RoundRecord]:
         )
     return rounds
 
-
-def scenario_with(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    return replace(config, **overrides)

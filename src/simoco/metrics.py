@@ -4,20 +4,23 @@ Four metrics summarize a trace: mean energy per delivered packet, rounds
 until every initial 1-hop neighbor of some sink is dead, rounds until the
 first death anywhere, and mean hop count per delivered packet. Lifetime
 metrics are None ("not reached") when the run ends first; packet means are
-None ("not available") when nothing was delivered.
+None ("not available") when nothing was delivered. All of them come from
+one pass over the rounds.
+
+A sink's initial neighbor set is every node within range of its CNP
+placement across the whole field, so it can hold nodes of a neighboring
+partition, and the neighbor-death metric waits for those too. CNP itself
+counts only the sink's own partition.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .core import generate_network, one_hop_neighbors
-from .engine import RoundRecord, ScenarioConfig, SimulationTrace, run_scenario
-from .partitioning import quadrant_partition
-from .placement import cnp_initial_sink_position
+from .engine import RoundRecord, ScenarioConfig, SimulationTrace, deploy, run_scenario
 
 
 @dataclass(frozen=True)
@@ -27,111 +30,57 @@ class MetricsReport:
     rounds_to_first_death: Optional[int]
     avg_hop_count: Optional[float]
     packets_delivered: int
+    # Summed energy of delivered packets, for the matrix's conservation
+    # check; left out of repr so a report's text stays the four metrics
+    # and the packet count.
+    delivered_energy: float = field(default=0.0, repr=False)
 
 
-def avg_energy_per_packet(trace: SimulationTrace) -> Optional[float]:
-    return _avg_energy(trace.rounds)
-
-
-def avg_hop_count(trace: SimulationTrace) -> Optional[float]:
-    return _avg_hops(trace.rounds)
-
-
-def rounds_to_first_death(trace: SimulationTrace) -> Optional[int]:
-    return _first_death(trace.rounds)
-
-
-def rounds_to_neighbor_death(trace: SimulationTrace) -> Optional[int]:
-    return _neighbor_death(trace.rounds, trace.initial_neighbor_sets)
-
-
-def _avg_energy(rounds: Iterable[RoundRecord]) -> Optional[float]:
-    total = 0.0
-    count = 0
-    for rec in rounds:
-        for d in rec.deliveries:
-            if d.delivered:
-                total += d.energy
-                count += 1
-    return total / count if count else None
-
-
-def _avg_hops(rounds: Iterable[RoundRecord]) -> Optional[float]:
-    total = 0
-    count = 0
-    for rec in rounds:
-        for d in rec.deliveries:
-            if d.delivered:
-                total += d.hop_count
-                count += 1
-    return total / count if count else None
-
-
-def _first_death(rounds: Iterable[RoundRecord]) -> Optional[int]:
-    for rec in rounds:
-        if rec.deaths:
-            return rec.round_index
-    return None
-
-
-def _neighbor_death(
-    rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]
-) -> Optional[int]:
-    """Earliest round at which some partition's whole initial neighbor set is
-    dead. Partitions with empty initial neighbor sets are excluded."""
+def _fold(rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]) -> MetricsReport:
+    """Every metric in one pass over the rounds. Neighbor death is the
+    earliest round at which some partition's whole initial neighbor set is
+    dead; partitions with empty initial neighbor sets are excluded."""
+    energy = 0.0
+    hops = 0
+    delivered = 0
+    first_death = None
     death_round: dict[int, int] = {}
     for rec in rounds:
+        for d in rec.deliveries:
+            if d.delivered:
+                energy += d.energy
+                hops += d.hop_count
+                delivered += 1
+        if rec.deaths and first_death is None:
+            first_death = rec.round_index
         for node_id in rec.deaths:
             death_round.setdefault(node_id, rec.round_index)
     candidates = []
     for neighbors in neighbor_sets:
-        if not neighbors:
-            continue
-        member_rounds = [death_round.get(node_id) for node_id in neighbors]
-        if all(r is not None for r in member_rounds):
-            candidates.append(max(member_rounds))
-    return min(candidates) if candidates else None
-
-
-def _packets_delivered(rounds: Iterable[RoundRecord]) -> int:
-    return sum(1 for rec in rounds for d in rec.deliveries if d.delivered)
+        if neighbors and all(node_id in death_round for node_id in neighbors):
+            candidates.append(max(death_round[node_id] for node_id in neighbors))
+    return MetricsReport(
+        avg_energy_per_packet=energy / delivered if delivered else None,
+        rounds_to_neighbor_death=min(candidates) if candidates else None,
+        rounds_to_first_death=first_death,
+        avg_hop_count=hops / delivered if delivered else None,
+        packets_delivered=delivered,
+        delivered_energy=energy,
+    )
 
 
 def compute_report(trace: SimulationTrace) -> MetricsReport:
-    return MetricsReport(
-        avg_energy_per_packet=avg_energy_per_packet(trace),
-        rounds_to_neighbor_death=rounds_to_neighbor_death(trace),
-        rounds_to_first_death=rounds_to_first_death(trace),
-        avg_hop_count=avg_hop_count(trace),
-        packets_delivered=_packets_delivered(trace.rounds),
-    )
+    return _fold(trace.rounds, trace.initial_neighbor_sets)
 
 
 def report_from_export(config: ScenarioConfig, rounds: list[RoundRecord]) -> MetricsReport:
     """Recompute the full report from an exported trace plus its config.
 
     The per-round export carries everything except the initial neighbor
-    sets, which are rebuilt by replaying the deterministic setup
-    (deployment, partitioning, placement) from the config.
+    sets, which are rebuilt by replaying the deterministic setup from the
+    config.
     """
-    field = generate_network(
-        config.n, config.base_side, config.base_n, config.comm_range,
-        config.seed, config.initial_energy,
-    )
-    neighbor_sets = []
-    for partition in quadrant_partition(field):
-        if not partition.member_ids:
-            neighbor_sets.append(frozenset())
-            continue
-        placement = cnp_initial_sink_position(field, partition)
-        neighbor_sets.append(frozenset(one_hop_neighbors(field, placement.position)))
-    return MetricsReport(
-        avg_energy_per_packet=_avg_energy(rounds),
-        rounds_to_neighbor_death=_neighbor_death(rounds, neighbor_sets),
-        rounds_to_first_death=_first_death(rounds),
-        avg_hop_count=_avg_hops(rounds),
-        packets_delivered=_packets_delivered(rounds),
-    )
+    return _fold(rounds, deploy(config)[3])
 
 
 @dataclass(frozen=True)
@@ -151,17 +100,14 @@ def _run_cell(args: tuple[ScenarioConfig, int, str, int]) -> MatrixRow:
         trace = run_scenario(config)
     except Exception as exc:  # failed cell is reported, not fatal
         return MatrixRow(size, mode, seed, None, error=f"{type(exc).__name__}: {exc}")
-    delivered = sum(
-        d.energy for rec in trace.rounds for d in rec.deliveries if d.delivered
-    )
+    report = compute_report(trace)
+    delivered = report.delivered_energy
     drained = sum(
         config.initial_energy - node.energy for node in trace.field.nodes
     )
     scale = max(abs(delivered), abs(drained), 1e-30)
     rel_err = abs(delivered - drained) / scale
-    return MatrixRow(
-        size, mode, seed, compute_report(trace), energy_conservation_rel_err=rel_err
-    )
+    return MatrixRow(size, mode, seed, report, energy_conservation_rel_err=rel_err)
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import NetworkField, Position, euclidean_distance
+from .core import NetworkField, Position
 from .partitioning import Partition
 from .placement import SinkPlacement
 
@@ -26,11 +26,6 @@ class CoverageBufferEntry(NamedTuple):
     node_id: int
     pos: Position
     initial_distance: float
-
-
-@dataclass
-class CoverageBuffer:
-    entries: list[CoverageBufferEntry]
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,9 @@ class SojournTour:
         return (self.initial,) + self.points
 
 
-def build_coverage_buffer(field: NetworkField, partition: Partition, sink: Position) -> CoverageBuffer:
+def build_coverage_buffer(
+    field: NetworkField, partition: Partition, sink: Position
+) -> list[CoverageBufferEntry]:
     """Members farther than comm_range from the sink, farthest first.
 
     Ties on distance break by ascending node id. A node at exactly
@@ -69,7 +66,7 @@ def build_coverage_buffer(field: NetworkField, partition: Partition, sink: Posit
         if d > r:
             entries.append(CoverageBufferEntry(node_id, pos, d))
     entries.sort(key=lambda e: (-e.initial_distance, e.node_id))
-    return CoverageBuffer(entries)
+    return entries
 
 
 def next_sojourn_point(current: Position, target: Position, comm_range: float) -> Position:
@@ -79,7 +76,7 @@ def next_sojourn_point(current: Position, target: Position, comm_range: float) -
     point is the convex combination (move * current + comm_range * target)
     / d_fs per axis, which leaves the target at distance d_fs - comm_range.
     """
-    d_fs = euclidean_distance(current, target)
+    d_fs = math.dist(current, target)
     if d_fs == 0.0:
         raise ValueError("degenerate segment: current and target coincide")
     if d_fs <= comm_range:
@@ -99,8 +96,7 @@ def generate_tour(field: NetworkField, partition: Partition, sink: SinkPlacement
     and the loop terminates; the iteration cap converts any latent bug
     into a clean error instead of a hang.
     """
-    buffer = build_coverage_buffer(field, partition, sink.position)
-    entries = buffer.entries
+    entries = build_coverage_buffer(field, partition, sink.position)
     r = field.comm_range
     cap = 4 * len(field.nodes) * math.ceil(field.side * math.sqrt(2.0) / r)
     current = sink.position

@@ -81,11 +81,6 @@ def rx_energy(model: RadioEnergyModel) -> float:
     return model.e_elec * model.packet_bits
 
 
-def death_threshold(model: RadioEnergyModel) -> float:
-    """A node dies once it can no longer afford receiving a single packet."""
-    return rx_energy(model)
-
-
 def build_graph(field: NetworkField, partition: Partition, sink_pos: Position) -> ConnectivityGraph:
     r = field.comm_range
     by_id = field.by_id
@@ -197,7 +192,7 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
     for node, cost in zip(nodes, costs):
         node.energy -= cost
         total += cost
-    threshold = death_threshold(model)
+    threshold = rx_energy(model)  # dead once it cannot afford receiving a packet
     died = []
     for node in nodes:
         if node.alive and node.energy < threshold:

@@ -143,6 +143,30 @@ class TestExitCodes:
         assert main(["run", "--nodes", "0"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config_text", [
+        (["run", "--range", "nan"], None),
+        (["run", "--mode", "mobile", "--range", "nan"], None),
+        (["run", "--energy", "nan"], None),
+        (["run", "--energy", "inf"], None),
+        (["run", "--packet-bits", "0"], None),
+        (["run"], "base_side = nan\n"),
+        (["run"], "e_elec = nan\n"),
+        (["run"], "e_amp = -1\n"),
+        (["matrix", "--sizes", "8", "--seeds", "1", "--energy", "nan"], None),
+    ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
+            "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
+            "matrix-energy-nan"])
+    def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
+        # small sizes keep the case fast should validation ever let it run
+        if argv[0] == "run":
+            argv = argv + ["--nodes", "8"]
+        if config_text is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(config_text)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--rounds", "5", "-o", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_traffic_count_exits_one(self, capsys):
         assert main(["run", "--traffic", "random_sources:few"]) == 1
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from simoco import (
     Position,
     centroid,
-    euclidean_distance,
     generate_network,
     one_hop_neighbors,
 )
@@ -13,21 +12,6 @@ from util import make_field
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 positions = st.builds(Position, coords, coords)
-
-
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance(Position(0, 0), Position(3, 4)) == 5.0
-
-    def test_identity(self):
-        assert euclidean_distance(Position(7, 2), Position(7, 2)) == 0.0
-
-    def test_axis_aligned(self):
-        assert euclidean_distance(Position(0, 0), Position(45, 0)) == 45.0
-
-    @given(positions, positions)
-    def test_symmetric(self, a, b):
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
 
 
 class TestCentroid:

@@ -6,6 +6,7 @@ import pytest
 from simoco import (
     ScenarioConfig,
     compute_report,
+    deploy,
     parse_trace_lines,
     run_scenario,
     rx_energy,
@@ -63,6 +64,19 @@ class TestRunScenario:
         assert report.rounds_to_first_death == expected
         assert abs(expected - math.floor(config.initial_energy / cost)) <= 1
         assert len(trace.rounds) == expected
+
+    @pytest.mark.parametrize("mode", ["static", "mobile"])
+    def test_setup_comes_from_deploy(self, mode):
+        config = small(mode, n=40, comm_range=25.0)
+        field, _, placements, neighbor_sets = deploy(config)
+        trace = run_scenario(config)
+        assert trace.placements == placements
+        assert trace.initial_neighbor_sets == neighbor_sets
+        assert [n.pos for n in trace.field.nodes] == [n.pos for n in field.nodes]
+        if mode == "mobile":
+            assert [t.initial if t else None for t in trace.tours] == [
+                p.position if p else None for p in placements
+            ]
 
     def test_max_rounds_one_yields_one_record(self):
         trace = run_scenario(small(max_rounds=1))

@@ -1,8 +1,7 @@
 """Golden SHA-256 digests of CLI outputs and of reports rebuilt from traces.
 
-The digests were recorded from the code before the setup path and the
-metric passes were merged, so a refactor that changes one trace, CSV, tour
-or report byte fails here. Regenerate them only for an intended behaviour
+The digests pin the simulator's output bytes, so a refactor that changes
+one trace, CSV, tour or report byte fails here. Regenerate them only for an intended behaviour
 change, and say so in CHANGES.md.
 """
 
@@ -77,7 +76,7 @@ def export_report(argv):
         mode=flags["--mode"], n=int(flags["--nodes"]), seed=int(flags["--seed"]),
         comm_range=float(flags["--range"]), initial_energy=float(flags["--energy"]),
         max_rounds=int(flags["--rounds"]), traffic=traffic,
-        sources_per_round=int(count) if count else 10,
+        sources_per_round=int(count) if count else ScenarioConfig.sources_per_round,
     )
     return report_from_export(config, parse_trace_lines(cli_output(argv).decode().splitlines()))
 

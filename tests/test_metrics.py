@@ -9,15 +9,12 @@ from simoco import (
     RoundRecord,
     ScenarioConfig,
     SimulationTrace,
-    avg_energy_per_packet,
-    avg_hop_count,
     compute_report,
+    deploy,
     emit_csv,
     mean_over_seeds,
     parse_trace_lines,
     report_from_export,
-    rounds_to_first_death,
-    rounds_to_neighbor_death,
     run_experiment_matrix,
     run_scenario,
     trace_lines,
@@ -48,58 +45,77 @@ class TestMetricOps:
             round_rec(1, [Delivery(0, 1, 1.2e-4, True)]),
             round_rec(2, [Delivery(1, 2, 3.4e-4, True)]),
         ])
-        assert avg_energy_per_packet(trace) == pytest.approx(2.3e-4)
+        assert compute_report(trace).avg_energy_per_packet == pytest.approx(2.3e-4)
 
     def test_avg_energy_singleton_and_empty(self):
-        assert avg_energy_per_packet(fake_trace([round_rec(1, [Delivery(0, 1, 5e-4, True)])])) == 5e-4
-        assert avg_energy_per_packet(fake_trace([round_rec(1)])) is None
+        single = fake_trace([round_rec(1, [Delivery(0, 1, 5e-4, True)])])
+        assert compute_report(single).avg_energy_per_packet == 5e-4
+        assert compute_report(fake_trace([round_rec(1)])).avg_energy_per_packet is None
 
     def test_avg_energy_ignores_drops(self):
         trace = fake_trace([
             round_rec(1, [Delivery(0, 1, 2e-4, True), Delivery(1, 3, 0.0, False)]),
         ])
-        assert avg_energy_per_packet(trace) == 2e-4
+        assert compute_report(trace).avg_energy_per_packet == 2e-4
 
     def test_neighbor_death_takes_last_member(self):
         trace = fake_trace(
             [round_rec(5, deaths=[10]), round_rec(9, deaths=[11])],
             neighbor_sets=[frozenset({10, 11}), frozenset(), frozenset(), frozenset()],
         )
-        assert rounds_to_neighbor_death(trace) == 9
+        assert compute_report(trace).rounds_to_neighbor_death == 9
 
     def test_neighbor_death_censored(self):
         trace = fake_trace(
             [round_rec(5, deaths=[10])],
             neighbor_sets=[frozenset({10, 11}), frozenset(), frozenset(), frozenset()],
         )
-        assert rounds_to_neighbor_death(trace) is None
+        assert compute_report(trace).rounds_to_neighbor_death is None
 
     def test_neighbor_death_earliest_partition_wins(self):
         trace = fake_trace(
             [round_rec(12, deaths=[1]), round_rec(20, deaths=[2])],
             neighbor_sets=[frozenset({1}), frozenset({2}), frozenset(), frozenset()],
         )
-        assert rounds_to_neighbor_death(trace) == 12
+        assert compute_report(trace).rounds_to_neighbor_death == 12
 
     def test_neighbor_death_all_sets_empty(self):
-        assert rounds_to_neighbor_death(fake_trace([round_rec(1, deaths=[5])])) is None
+        trace = fake_trace([round_rec(1, deaths=[5])])
+        assert compute_report(trace).rounds_to_neighbor_death is None
+
+    def test_neighbor_death_waits_for_neighbors_in_other_partitions(self):
+        # A sink's initial neighbor set spans the whole field, while CNP counts
+        # only its own partition; seed 1's SE sink reaches node 94 across the
+        # quadrant border, so its set dies only when node 94 does.
+        config = ScenarioConfig(seed=1)
+        _, partitions, _, neighbor_sets = deploy(config)
+        own = neighbor_sets[1] & partitions[1].member_ids
+        assert neighbor_sets[1] - own == {94}
+        trace = fake_trace(
+            [round_rec(5, deaths=sorted(own)), round_rec(9, deaths=[94])],
+            neighbor_sets=[frozenset(), neighbor_sets[1], frozenset(), frozenset()],
+        )
+        assert compute_report(trace).rounds_to_neighbor_death == 9
 
     def test_first_death(self):
-        assert rounds_to_first_death(fake_trace([round_rec(6), round_rec(7, deaths=[3])])) == 7
-        assert rounds_to_first_death(fake_trace([round_rec(1)])) is None
-        assert rounds_to_first_death(fake_trace([round_rec(1, deaths=[0])])) == 1
+        def first_death(rounds):
+            return compute_report(fake_trace(rounds)).rounds_to_first_death
+
+        assert first_death([round_rec(6), round_rec(7, deaths=[3])]) == 7
+        assert first_death([round_rec(1)]) is None
+        assert first_death([round_rec(1, deaths=[0])]) == 1
 
     def test_avg_hops(self):
         trace = fake_trace([
             round_rec(1, [Delivery(0, 1, 1e-4, True), Delivery(1, 2, 1e-4, True)]),
             round_rec(2, [Delivery(2, 3, 1e-4, True)]),
         ])
-        assert avg_hop_count(trace) == 2.0
+        assert compute_report(trace).avg_hop_count == 2.0
 
     def test_avg_hops_all_single(self):
         trace = fake_trace([round_rec(1, [Delivery(0, 1, 1e-4, True)] * 3)])
-        assert avg_hop_count(trace) == 1.0
-        assert avg_hop_count(fake_trace([round_rec(1)])) is None
+        assert compute_report(trace).avg_hop_count == 1.0
+        assert compute_report(fake_trace([round_rec(1)])).avg_hop_count is None
 
     def test_compute_report_packets_delivered(self):
         trace = fake_trace([

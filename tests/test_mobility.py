@@ -28,23 +28,23 @@ class TestCoverageBuffer:
     def test_descending_order_with_in_range_excluded(self):
         field = make_field([(0, 0), (40, 0), (100, 0), (60, 0)], comm_range=45, side=200)
         buf = build_coverage_buffer(field, whole_field_partition(field), Position(0, 0))
-        assert [e.node_id for e in buf.entries] == [2, 3]
-        assert [e.initial_distance for e in buf.entries] == [100.0, 60.0]
+        assert [e.node_id for e in buf] == [2, 3]
+        assert [e.initial_distance for e in buf] == [100.0, 60.0]
 
     def test_all_within_range_gives_empty_buffer(self):
         field = make_field([(10, 0), (0, 20), (30, 30)], comm_range=45, side=100)
         buf = build_coverage_buffer(field, whole_field_partition(field), Position(0, 0))
-        assert buf.entries == []
+        assert buf == []
 
     def test_exactly_at_range_excluded(self):
         field = make_field([(45, 0)], comm_range=45, side=100)
         buf = build_coverage_buffer(field, whole_field_partition(field), Position(0, 0))
-        assert buf.entries == []
+        assert buf == []
 
     def test_distance_ties_break_by_node_id(self):
         field = make_field([(0, 60), (60, 0)], comm_range=45, side=100)
         buf = build_coverage_buffer(field, whole_field_partition(field), Position(0, 0))
-        assert [e.node_id for e in buf.entries] == [0, 1]
+        assert [e.node_id for e in buf] == [0, 1]
 
 
 class TestNextSojournPoint:
@@ -138,7 +138,7 @@ class TestGenerateTour:
             part = whole_field_partition(field)
             placement = cnp_initial_sink_position(field, part)
             buf = build_coverage_buffer(field, part, placement.position)
-            bound = len(buf.entries) * math.ceil(field.side * math.sqrt(2) / r)
+            bound = len(buf) * math.ceil(field.side * math.sqrt(2) / r)
             tour = generate_tour(field, part, placement)
             assert tour.step_count <= bound
 
