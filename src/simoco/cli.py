@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
 from .engine import ScenarioConfig, deploy, run_scenario, trace_lines
-from .metrics import emit_csv, run_experiment_matrix
+from .metrics import emit_csv, resolve_workers, run_experiment_matrix
 from .mobility import generate_tour, tour_export_lines
 
 
@@ -204,7 +205,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     base = _build_config(args, defaults={"base_n": 50})
     sizes = _parse_int_list(args.sizes, "--sizes")
     seeds = _parse_seeds(args.seeds)
-    rows = run_experiment_matrix(base, sizes, seeds)
+    try:  # every size and the worker count must be valid before any cell runs
+        for size in sizes:
+            replace(base, n=size)
+        workers = resolve_workers()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    rows = run_experiment_matrix(base, sizes, seeds, max_workers=workers)
     for row in rows:
         if row.error is not None:
             print(f"cell (n={row.size}, {row.mode}, seed {row.seed}) failed: {row.error}",

@@ -43,14 +43,10 @@ def centroid(points: list[Position]) -> Position:
     return Position(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
 
 
-def one_hop_neighbors(field: NetworkField, p: Position, alive_only: bool = False) -> set[int]:
+def one_hop_neighbors(field: NetworkField, p: Position) -> set[int]:
     """Ids of nodes within comm_range of p (inclusive boundary)."""
     r = field.comm_range
-    return {
-        node.id
-        for node in field.nodes
-        if (node.alive or not alive_only) and math.dist(node.pos, p) <= r
-    }
+    return {node.id for node in field.nodes if math.dist(node.pos, p) <= r}
 
 
 def generate_network(

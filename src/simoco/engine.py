@@ -32,7 +32,6 @@ from .mobility import SojournTour, generate_tour
 from .partitioning import Partition, quadrant_partition
 from .placement import SinkPlacement, cnp_initial_sink_position
 from .routing import (
-    ConnectivityGraph,
     RadioEnergyModel,
     build_graph,
     deliver_packet,
@@ -78,6 +77,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # the tour walk takes about side / comm_range steps per buffered node
+        side = self.base_side * math.sqrt(self.n / self.base_n)
+        if self.comm_range < side / 1000:
+            raise ValueError(f"comm_range must be >= side/1000 = {side / 1000!r}, "
+                             f"got {self.comm_range!r}")
         if self.packet_bits < 1:
             raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
 
@@ -111,21 +115,12 @@ class SimulationTrace:
 
 
 class _PartitionState:
-    """Mutable per-partition runtime: sink cycle, caches, service schedule."""
+    """Mutable per-partition runtime: sink cycle, the partition's one
+    connectivity graph, per-position distance fields, service schedule."""
 
-    __slots__ = (
-        "partition",
-        "members",
-        "cycle",
-        "assigned_members",
-        "graphs",
-        "dist_fields",
-        "quiet",
-    )
+    __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
 
     def __init__(self, partition: Partition, field: NetworkField, cycle: tuple[Position, ...]):
-        self.partition = partition
-        self.members = sorted(partition.member_ids)
         self.cycle = cycle
         # Each member is served at the cycle position nearest to it, preferring
         # positions that cover it (guaranteed to exist by tour coverage);
@@ -133,7 +128,7 @@ class _PartitionState:
         by_id = field.by_id
         r = field.comm_range
         groups: list[list[int]] = [[] for _ in cycle]
-        for node_id in self.members:
+        for node_id in sorted(partition.member_ids):
             pos = by_id[node_id].pos
             best = min(
                 range(len(cycle)),
@@ -141,27 +136,19 @@ class _PartitionState:
             )
             groups[best].append(node_id)
         self.assigned_members = [tuple(g) for g in groups]
-        self.graphs: dict[int, ConnectivityGraph] = {}
+        self.graph = build_graph(field, partition)
         self.dist_fields: dict[int, dict[int, int]] = {}
         self.quiet = 0
 
-    def graph_at(self, field: NetworkField, pos_idx: int) -> ConnectivityGraph:
-        graph = self.graphs.get(pos_idx)
-        if graph is None:
-            graph = build_graph(field, self.partition, self.cycle[pos_idx])
-            self.graphs[pos_idx] = graph
-        return graph
-
-    def dist_field_at(self, field: NetworkField, pos_idx: int) -> dict[int, int]:
+    def dist_field_at(self, pos_idx: int) -> dict[int, int]:
         df = self.dist_fields.get(pos_idx)
         if df is None:
-            df = sink_distance_field(self.graph_at(field, pos_idx))
+            df = sink_distance_field(self.graph, self.cycle[pos_idx])
             self.dist_fields[pos_idx] = df
         return df
 
     def on_death(self, node_id: int) -> None:
-        for graph in self.graphs.values():
-            remove_node(graph, node_id)
+        remove_node(self.graph, node_id)
         self.dist_fields.clear()
 
 
@@ -266,14 +253,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             ]
             if not sources:
                 continue
-            graph = state.graph_at(field, pos_idx)
-            dist = state.dist_field_at(field, pos_idx)
+            dist = state.dist_field_at(pos_idx)
             for source in sources:
                 node = by_id[source]
                 while node.alive and backlog[source] > 0:
                     if source not in dist:
                         break  # unreachable this round: sends nothing, pays nothing
-                    route = min_hop_route(graph, source, dist)
+                    route = min_hop_route(state.graph, source, sink_positions[k], dist)
                     record = deliver_packet(field, model, route)
                     backlog[source] -= 1
                     if record.delivered:
@@ -287,7 +273,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                                 dead_k = part_of[dead_id]
                                 states[dead_k].on_death(dead_id)
                                 activity[dead_k] = True
-                            dist = state.dist_field_at(field, pos_idx)
+                            dist = state.dist_field_at(pos_idx)
                     else:
                         deliveries.append(Delivery(source, record.hop_count, 0.0, False))
                         pending_deaths.update(record.underpowered)

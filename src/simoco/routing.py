@@ -1,9 +1,11 @@
 """Connectivity graph, minimum-hop routing, and radio energy accounting.
 
-Routing is a breadth-first shortest path to a virtual sink vertex. Among
-next hops that lie on some fewest-hop path, the neighbor with the highest
-residual energy wins, remaining ties break on the lowest node id; this
-rotates relay duty as batteries drain while keeping routes deterministic.
+Routing is a breadth-first shortest path to the sink. The graph joins
+nodes only; the sink is a routing parameter, not a vertex, so one graph
+serves every sink position of a partition. Among next hops that lie on some
+fewest-hop path, the neighbor with the highest residual energy wins,
+remaining ties break on the lowest node id; this rotates relay duty as
+batteries drain while keeping routes deterministic.
 
 Energy follows the first order radio model: transmitting k bits over
 distance d costs e_elec*k + e_amp*k*d^2, receiving costs e_elec*k, and the
@@ -25,23 +27,20 @@ SINK_ID = -1
 
 @dataclass
 class ConnectivityGraph:
-    """Undirected graph over one partition's alive members plus the sink.
+    """Undirected graph over one partition's alive members.
 
-    Edges join alive nodes within comm_range of each other; the virtual
-    sink vertex (SINK_ID) joins every alive node within comm_range of
-    sink_pos. `nodes` keeps live references so residual energy is read at
-    routing time.
+    Edges join alive nodes within comm_range of each other. `nodes` keeps
+    live references so residual energy is read at routing time.
     """
 
     nodes: dict[int, SensorNode]
     adjacency: dict[int, set[int]]
-    sink_pos: Position
     comm_range: float
 
 
 @dataclass(frozen=True)
 class Route:
-    """Hop sequence from `source` (exclusive) to the sink vertex (inclusive)."""
+    """Hop sequence from `source` (exclusive) to the sink, SINK_ID (inclusive)."""
 
     source: int
     hops: tuple[int, ...]
@@ -81,23 +80,18 @@ def rx_energy(model: RadioEnergyModel) -> float:
     return model.e_elec * model.packet_bits
 
 
-def build_graph(field: NetworkField, partition: Partition, sink_pos: Position) -> ConnectivityGraph:
+def build_graph(field: NetworkField, partition: Partition) -> ConnectivityGraph:
     r = field.comm_range
     by_id = field.by_id
     alive = [by_id[i] for i in sorted(partition.member_ids) if by_id[i].alive]
     nodes = {node.id: node for node in alive}
     adjacency: dict[int, set[int]] = {node.id: set() for node in alive}
-    adjacency[SINK_ID] = set()
     for i, a in enumerate(alive):
         for b in alive[i + 1 :]:
             if math.dist(a.pos, b.pos) <= r:
                 adjacency[a.id].add(b.id)
                 adjacency[b.id].add(a.id)
-    for a in alive:
-        if math.dist(a.pos, sink_pos) <= r:
-            adjacency[a.id].add(SINK_ID)
-            adjacency[SINK_ID].add(a.id)
-    return ConnectivityGraph(nodes, adjacency, sink_pos, r)
+    return ConnectivityGraph(nodes, adjacency, r)
 
 
 def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
@@ -107,10 +101,16 @@ def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
     graph.nodes.pop(node_id, None)
 
 
-def sink_distance_field(graph: ConnectivityGraph) -> dict[int, int]:
-    """Hop distance to the sink for every vertex reachable from it (BFS)."""
+def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> dict[int, int]:
+    """Hop distance to a sink at `sink_pos` for every vertex that can reach
+    it (BFS); the nodes within comm_range of the sink are one hop away, and
+    SINK_ID maps to 0."""
     dist = {SINK_ID: 0}
-    queue = deque((SINK_ID,))
+    queue: deque[int] = deque()
+    for node_id, node in graph.nodes.items():
+        if math.dist(node.pos, sink_pos) <= graph.comm_range:
+            dist[node_id] = 1
+            queue.append(node_id)
     adjacency = graph.adjacency
     while queue:
         u = queue.popleft()
@@ -125,17 +125,19 @@ def sink_distance_field(graph: ConnectivityGraph) -> dict[int, int]:
 def min_hop_route(
     graph: ConnectivityGraph,
     source: int,
+    sink_pos: Position,
     dist_field: Optional[dict[int, int]] = None,
 ) -> Optional[Route]:
-    """Fewest-hop route from source to the sink, or None when unreachable.
+    """Fewest-hop route from source to a sink at `sink_pos`, or None when
+    unreachable.
 
-    Accepts a precomputed sink distance field so a round's BFS can be
+    Accepts that sink's precomputed distance field so a round's BFS can be
     shared across sources; passing one changes nothing in the result.
     """
     node = graph.nodes.get(source)
     if node is None or not node.alive:
         raise ValueError(f"source {source} is dead or not in the graph")
-    dist = dist_field if dist_field is not None else sink_distance_field(graph)
+    dist = dist_field if dist_field is not None else sink_distance_field(graph, sink_pos)
     d = dist.get(source)
     if d is None:
         return None
@@ -157,7 +159,7 @@ def min_hop_route(
         current = best
         d -= 1
     hops.append(SINK_ID)
-    return Route(source, tuple(hops), graph.sink_pos)
+    return Route(source, tuple(hops), sink_pos)
 
 
 def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -> DeliveryRecord:

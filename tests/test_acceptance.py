@@ -209,12 +209,18 @@ def test_criterion_8_energy_conservation(lifetime_batch, scaling_batch, hop_batc
 
 
 def test_criterion_9_route_optimality_oracle():
-    def exhaustive_hops(graph):
-        vertices = sorted(graph.adjacency)
+    def exhaustive_hops(graph, sink):
+        # the sink joins the search as a vertex adjacent to every node in range
+        adjacency = {u: set(vs) for u, vs in graph.adjacency.items()}
+        adjacency[SINK_ID] = {u for u, node in graph.nodes.items()
+                              if math.dist(node.pos, sink) <= graph.comm_range}
+        for u in adjacency[SINK_ID]:
+            adjacency[u].add(SINK_ID)
+        vertices = sorted(adjacency)
         inf = float("inf")
         dist = {u: {v: (0 if u == v else inf) for v in vertices} for u in vertices}
         for u in vertices:
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 dist[u][v] = 1
         for k in vertices:
             for i in vertices:
@@ -235,10 +241,10 @@ def test_criterion_9_route_optimality_oracle():
         pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
         field = make_field(pts, comm_range=rng.uniform(15, 80), side=side)
         sink = Position(rng.uniform(0, side), rng.uniform(0, side))
-        graph = build_graph(field, whole_field_partition(field), sink)
-        oracle = exhaustive_hops(graph)
+        graph = build_graph(field, whole_field_partition(field))
+        oracle = exhaustive_hops(graph, sink)
         for source in sorted(graph.nodes):
-            route = min_hop_route(graph, source)
+            route = min_hop_route(graph, source, sink)
             expected = oracle[source][SINK_ID]
             if route is None:
                 assert expected == float("inf")

@@ -153,9 +153,11 @@ class TestExitCodes:
         (["run"], "e_elec = nan\n"),
         (["run"], "e_amp = -1\n"),
         (["matrix", "--sizes", "8", "--seeds", "1", "--energy", "nan"], None),
+        (["matrix", "--sizes", "0", "--seeds", "1"], None),
+        (["run", "--mode", "mobile", "--range", "1e-6"], None),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
-            "matrix-energy-nan"])
+            "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
         if argv[0] == "run":
@@ -165,6 +167,19 @@ class TestExitCodes:
             cfg.write_text(config_text)
             argv = argv + ["--config", str(cfg)]
         assert main(argv + ["--rounds", "5", "-o", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_count_exits_one(self, threads, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("SIMOCO_THREADS", threads)
+        argv = ["matrix", "--sizes", "8", "--seeds", "1", "--rounds", "5",
+                "-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_tiny_range_tour_exits_one(self, capsys):
+        # below side/1000 the tour walk would take ~1e10 steps instead of failing
+        assert main(["tour", "--nodes", "20", "--range", "1e-6"]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_bad_traffic_count_exits_one(self, capsys):

@@ -61,12 +61,6 @@ class TestOneHopNeighbors:
         field = make_field([(45, 0)], comm_range=45, side=100)
         assert one_hop_neighbors(field, Position(0, 0)) == {0}
 
-    def test_alive_only_excludes_dead(self):
-        field = make_field([(0, 0), (10, 0)], comm_range=45)
-        field.nodes[1].alive = False
-        assert one_hop_neighbors(field, Position(0, 0), alive_only=True) == {0}
-        assert one_hop_neighbors(field, Position(0, 0), alive_only=False) == {0, 1}
-
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=1, max_value=100))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_range(self, seed, extra):

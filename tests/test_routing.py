@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,16 +23,23 @@ MODEL = RadioEnergyModel(e_elec=50e-9, e_amp=100e-12, packet_bits=2000)
 
 def graph_for(points, sink_pos, comm_range=45.0):
     field = make_field(points, comm_range=comm_range, side=500)
-    return field, build_graph(field, whole_field_partition(field), Position(*sink_pos))
+    return field, build_graph(field, whole_field_partition(field)), Position(*sink_pos)
 
 
-def floyd_warshall_hops(graph):
-    """Independent all-pairs shortest hop counts over the same adjacency."""
-    vertices = sorted(graph.adjacency)
+def floyd_warshall_hops(graph, sink):
+    """Independent all-pairs shortest hop counts over the same adjacency,
+    with the sink added as a vertex joined to every node within range."""
+    adjacency = {u: set(vs) for u, vs in graph.adjacency.items()}
+    adjacency[SINK_ID] = {
+        u for u, node in graph.nodes.items() if math.dist(node.pos, sink) <= graph.comm_range
+    }
+    for u in adjacency[SINK_ID]:
+        adjacency[u].add(SINK_ID)
+    vertices = sorted(adjacency)
     inf = float("inf")
     dist = {u: {v: (0 if u == v else inf) for v in vertices} for u in vertices}
     for u in vertices:
-        for v in graph.adjacency[u]:
+        for v in adjacency[u]:
             dist[u][v] = 1
     for k in vertices:
         for i in vertices:
@@ -47,73 +55,73 @@ def floyd_warshall_hops(graph):
 
 class TestBuildGraph:
     def test_path_topology(self):
-        _, g = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        assert g.adjacency[0] == {1}
-        assert g.adjacency[1] == {0, 2}
-        assert g.adjacency[2] == {1, SINK_ID}
-        assert g.adjacency[SINK_ID] == {2}
+        _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
+        assert g.adjacency == {0: {1}, 1: {0, 2}, 2: {1}}
+        assert sink_distance_field(g, sink) == {SINK_ID: 0, 2: 1, 1: 2, 0: 3}
 
     def test_all_dead_leaves_sink_only(self):
         field = make_field([(0, 0), (10, 0)], side=100)
         for node in field.nodes:
             node.alive = False
-        g = build_graph(field, whole_field_partition(field), Position(0, 0))
-        assert set(g.adjacency) == {SINK_ID}
+        g = build_graph(field, whole_field_partition(field))
+        assert g.adjacency == {}
         assert g.nodes == {}
+        assert sink_distance_field(g, Position(0, 0)) == {SINK_ID: 0}
 
     def test_coincident_nodes_adjacent(self):
-        _, g = graph_for([(5, 5), (5, 5)], (200, 200))
+        _, g, _ = graph_for([(5, 5), (5, 5)], (200, 200))
         assert g.adjacency[0] == {1}
         assert g.adjacency[1] == {0}
 
 
 class TestMinHopRoute:
     def test_forced_three_hop_path(self):
-        _, g = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        route = min_hop_route(g, 0)
+        _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
+        route = min_hop_route(g, 0, sink)
         assert route.hops == (1, 2, SINK_ID)
         assert route.hop_count == 3
 
     def test_direct_hop(self):
-        _, g = graph_for([(10, 0)], (0, 0))
-        route = min_hop_route(g, 0)
+        _, g, sink = graph_for([(10, 0)], (0, 0))
+        route = min_hop_route(g, 0, sink)
         assert route.hops == (SINK_ID,)
         assert route.hop_count == 1
 
     def test_disconnected_source_unreachable(self):
-        _, g = graph_for([(0, 0), (300, 300)], (310, 300))
-        assert min_hop_route(g, 0) is None
+        _, g, sink = graph_for([(0, 0), (300, 300)], (310, 300))
+        assert min_hop_route(g, 0, sink) is None
 
     def test_dead_or_unknown_source_rejected(self):
-        field, g = graph_for([(0, 0)], (10, 0))
+        field, g, sink = graph_for([(0, 0)], (10, 0))
         with pytest.raises(ValueError):
-            min_hop_route(g, 99)
+            min_hop_route(g, 99, sink)
         field.nodes[0].alive = False
         with pytest.raises(ValueError):
-            min_hop_route(g, 0)
+            min_hop_route(g, 0, sink)
 
     def test_energy_tie_break_prefers_higher_residual(self):
         # two equal-hop relays; the richer one carries the packet
-        field, g = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
+        field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 0.2
         field.nodes[2].energy = 0.3
-        assert min_hop_route(g, 0).hops == (2, SINK_ID)
+        assert min_hop_route(g, 0, sink).hops == (2, SINK_ID)
         field.nodes[1].energy = 0.5
-        assert min_hop_route(g, 0).hops == (1, SINK_ID)
+        assert min_hop_route(g, 0, sink).hops == (1, SINK_ID)
 
     def test_equal_energy_tie_break_prefers_lower_id(self):
-        _, g = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
-        assert min_hop_route(g, 0).hops == (1, SINK_ID)
+        _, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
+        assert min_hop_route(g, 0, sink).hops == (1, SINK_ID)
 
     def test_precomputed_distance_field_changes_nothing(self):
         field = generate_network(40, 200, 100, 45, 8, 0.5)
         part = quadrant_partition(field)[0]
         if not part.member_ids:
             pytest.skip("empty quadrant for this seed")
-        g = build_graph(field, part, Position(50, 50))
-        dist = sink_distance_field(g)
+        g = build_graph(field, part)
+        sink = Position(50, 50)
+        dist = sink_distance_field(g, sink)
         for source in sorted(g.nodes):
-            assert min_hop_route(g, source) == min_hop_route(g, source, dist)
+            assert min_hop_route(g, source, sink) == min_hop_route(g, source, sink, dist)
 
     def test_hop_counts_match_exhaustive_search(self):
         rng = random.Random(2024)
@@ -123,10 +131,10 @@ class TestMinHopRoute:
             pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
             field = make_field(pts, comm_range=rng.uniform(20, 80), side=side)
             sink = Position(rng.uniform(0, side), rng.uniform(0, side))
-            g = build_graph(field, whole_field_partition(field), sink)
-            oracle = floyd_warshall_hops(g)
+            g = build_graph(field, whole_field_partition(field))
+            oracle = floyd_warshall_hops(g, sink)
             for source in sorted(g.nodes):
-                route = min_hop_route(g, source)
+                route = min_hop_route(g, source, sink)
                 expected = oracle[source][SINK_ID]
                 if route is None:
                     assert expected == float("inf")
@@ -164,41 +172,41 @@ class TestRadioEnergy:
 
 class TestDeliverPacket:
     def test_single_hop_sink_receives_free(self):
-        field, g = graph_for([(0, 0)], (10, 0))
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0))
+        field, g, sink = graph_for([(0, 0)], (10, 0))
+        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
         assert record.delivered
         assert record.hop_count == 1
         assert record.total_energy == pytest.approx(1.2e-4, rel=1e-12)
         assert field.nodes[0].energy == pytest.approx(0.5 - 1.2e-4, rel=1e-12)
 
     def test_relay_pays_rx_plus_tx(self):
-        field, g = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0))
+        field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
+        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
         assert record.hop_count == 2
         assert record.total_energy == pytest.approx(3.4e-4, rel=1e-12)
         assert field.nodes[0].energy == pytest.approx(0.5 - 1.2e-4, rel=1e-12)
         assert field.nodes[1].energy == pytest.approx(0.5 - 2.2e-4, rel=1e-12)
 
     def test_exact_exhaustion_marks_dead(self):
-        field, g = graph_for([(0, 0)], (10, 0))
+        field, g, sink = graph_for([(0, 0)], (10, 0))
         field.nodes[0].energy = tx_energy(MODEL, 10.0)
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0))
+        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
         assert record.delivered
         assert field.nodes[0].energy == 0.0
         assert not field.nodes[0].alive
         assert record.died == (0,)
 
     def test_stale_route_rejected(self):
-        field, g = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0)
+        field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
+        route = min_hop_route(g, 0, sink)
         field.nodes[1].alive = False
         with pytest.raises(ValueError, match="stale route"):
             deliver_packet(field, MODEL, route)
 
     def test_insufficient_energy_drops_packet_without_deduction(self):
-        field, g = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
+        field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
         field.nodes[1].energy = 1.5e-4  # relay needs rx + tx ~ 2.2e-4
-        route = min_hop_route(g, 0)
+        route = min_hop_route(g, 0, sink)
         record = deliver_packet(field, MODEL, route)
         assert not record.delivered
         assert record.total_energy == 0.0
@@ -211,11 +219,11 @@ class TestDeliverPacket:
         rng = random.Random(11)
         field = generate_network(30, 200, 100, 45, 12, 0.5)
         part = quadrant_partition(field)[3]
-        g = build_graph(field, part, Position(150, 150))
+        g = build_graph(field, part)
         spent = 0.0
         before = sum(node.energy for node in field.nodes)
         for source in sorted(g.nodes):
-            route = min_hop_route(g, source)
+            route = min_hop_route(g, source, Position(150, 150))
             if route is None:
                 continue
             record = deliver_packet(field, MODEL, route)
@@ -227,10 +235,10 @@ class TestDeliverPacket:
     def test_rerouting_after_relay_death(self):
         # relay 1 has the higher residual, carries one rx+tx (~5.4e-4), and
         # dies; after removing it from the graph the other relay takes over
-        field, g = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
+        field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 6.0e-4
         field.nodes[2].energy = 5.0e-4
-        first_route = min_hop_route(g, 0)
+        first_route = min_hop_route(g, 0, sink)
         assert first_route.hops == (1, SINK_ID)
         first = deliver_packet(field, MODEL, first_route)
         assert first.delivered
@@ -239,4 +247,4 @@ class TestDeliverPacket:
         from simoco.routing import remove_node
 
         remove_node(g, 1)
-        assert min_hop_route(g, 0).hops == (2, SINK_ID)
+        assert min_hop_route(g, 0, sink).hops == (2, SINK_ID)
