@@ -20,6 +20,11 @@ METRICS = (
 )
 
 
+def cell(value, spec: str) -> str:
+    """Format a seed mean; a metric no seed reached prints as n/a."""
+    return f"{'n/a':>14}" if value is None else format(value, spec)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=100)
@@ -41,11 +46,12 @@ def main() -> int:
     for attr, label in METRICS:
         static = mean_over_seeds(rows, args.nodes, "static", attr)
         mobile = mean_over_seeds(rows, args.nodes, "mobile", attr)
-        fmt = "{:>14.4e}" if attr == "avg_energy_per_packet" else "{:>14.1f}"
-        print(f"{label:<28}" + fmt.format(static) + fmt.format(mobile))
+        spec = ">14.4e" if attr == "avg_energy_per_packet" else ">14.1f"
+        print(f"{label:<28}{cell(static, spec)}{cell(mobile, spec)}")
     static_e = mean_over_seeds(rows, args.nodes, "static", "avg_energy_per_packet")
     mobile_e = mean_over_seeds(rows, args.nodes, "mobile", "avg_energy_per_packet")
-    print(f"{'energy ratio mobile/static':<28}{mobile_e / static_e:>14.3f}")
+    ratio = None if static_e is None or mobile_e is None else mobile_e / static_e
+    print(f"{'energy ratio mobile/static':<28}{cell(ratio, '>14.3f')}")
 
     if args.csv:
         with open(args.csv, "w", newline="\n") as handle:

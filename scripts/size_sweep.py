@@ -13,6 +13,11 @@ import time
 from simoco import ScenarioConfig, emit_csv, mean_over_seeds, run_experiment_matrix
 
 
+def cell(value) -> str:
+    """Format a seed mean; a first death no seed reached prints as n/a."""
+    return f"{'n/a':>22}" if value is None else f"{value:>22.1f}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="50,100,150,200,250,300")
@@ -32,7 +37,7 @@ def main() -> int:
     for size in sizes:
         static = mean_over_seeds(rows, size, "static", "rounds_to_first_death")
         mobile = mean_over_seeds(rows, size, "mobile", "rounds_to_first_death")
-        print(f"{size:>6}{static:>22.1f}{mobile:>22.1f}")
+        print(f"{size:>6}{cell(static)}{cell(mobile)}")
 
     with open(args.output, "w", newline="\n") as handle:
         handle.write(emit_csv(rows))

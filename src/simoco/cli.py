@@ -80,6 +80,8 @@ def _parse_traffic(value: str) -> dict:
     name = aliases.get(name, name)
     overrides["traffic"] = name
     if count:
+        if name == "all_nodes_each_round":
+            raise ConfigError(f"--traffic {value!r}: all-nodes traffic takes no count")
         try:
             overrides["sources_per_round"] = int(count)
         except ValueError as exc:
@@ -94,6 +96,8 @@ def _parse_int_list(value: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {value!r}") from exc
     if not items:
         raise ConfigError(f"{flag} must not be empty")
+    if len(set(items)) != len(items):
+        raise ConfigError(f"{flag} repeats an entry: {value!r}")
     return items
 
 

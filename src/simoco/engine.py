@@ -115,7 +115,7 @@ class SimulationTrace:
 
 
 class _PartitionState:
-    """Mutable per-partition runtime: sink cycle, the partition's one
+    """Mutable runtime of one partition, an empty one included: sink cycle,
     connectivity graph, per-position distance fields, service schedule."""
 
     __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
@@ -191,70 +191,59 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         if mobile and placement is not None else None
         for partition, placement in zip(partitions, placements)
     ]
+    # an empty quadrant's sink idles at the quadrant centre and serves no one
     states = [
-        _PartitionState(
-            partition, field, tour.cycle() if tour is not None else (placement.position,)
-        )
-        if placement is not None else None
+        _PartitionState(partition, field, tour.cycle() if tour is not None else (
+            placement.position if placement is not None else _quadrant_center(partition),
+        ))
         for partition, placement, tour in zip(partitions, placements, tours)
     ]
 
     by_id = field.by_id
-    part_of = {}
-    for k, partition in enumerate(partitions):
-        for node_id in partition.member_ids:
-            part_of[node_id] = k
-    idle_positions = [
-        placements[k].position if placements[k] is not None else _quadrant_center(partitions[k])
-        for k in range(4)
-    ]
+    part_of = {node_id: k for k, part in enumerate(partitions) for node_id in part.member_ids}
 
     traffic_rng = random.Random(f"traffic:{config.seed}")
     backlog = {node.id: 0 for node in field.nodes}
     rounds: list[RoundRecord] = []
-    all_nodes_traffic = config.traffic == "all_nodes_each_round"
+
+    def record_death(node_id: int) -> None:
+        """Log a death in the current round's `deaths` and `activity`."""
+        deaths.append(node_id)
+        k = part_of[node_id]
+        states[k].on_death(node_id)
+        activity[k] = True
 
     for round_index in range(1, config.max_rounds + 1):
         alive_ids = [node.id for node in field.nodes if node.alive]
         if not alive_ids:
             break
 
-        if all_nodes_traffic:
-            for node_id in alive_ids:
-                backlog[node_id] += 1
-        else:
-            count = min(config.sources_per_round, len(alive_ids))
-            for node_id in traffic_rng.sample(alive_ids, count):
-                backlog[node_id] += 1
-
-        pos_indices = [
-            (round_index - 1) % len(state.cycle) if state is not None else 0
-            for state in states
-        ]
-        sink_positions = tuple(
-            states[k].cycle[pos_indices[k]] if states[k] is not None else idle_positions[k]
-            for k in range(4)
+        sources = (
+            alive_ids if config.traffic == "all_nodes_each_round"
+            else traffic_rng.sample(alive_ids, min(config.sources_per_round, len(alive_ids)))
         )
+        for node_id in sources:
+            backlog[node_id] += 1
+
+        pos_indices = [(round_index - 1) % len(state.cycle) for state in states]
+        sink_positions = tuple(state.cycle[j] for state, j in zip(states, pos_indices))
 
         deliveries: list[Delivery] = []
         deaths: list[int] = []
         pending_deaths: set[int] = set()
         activity = [False, False, False, False]
 
-        for k in range(4):
-            state = states[k]
-            if state is None:
-                continue
+        for k, state in enumerate(states):
             pos_idx = pos_indices[k]
-            sources = [
+            ready = [
                 node_id
                 for node_id in state.assigned_members[pos_idx]
                 if by_id[node_id].alive and backlog[node_id] > 0
             ]
-            if not sources:
+            if not ready:
                 continue
             dist = state.dist_field_at(pos_idx)
-            for source in sources:
+            for source in ready:
                 node = by_id[source]
                 while node.alive and backlog[source] > 0:
                     if source not in dist:
@@ -262,22 +251,17 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     route = min_hop_route(state.graph, source, sink_positions[k], dist)
                     record = deliver_packet(field, model, route)
                     backlog[source] -= 1
-                    if record.delivered:
-                        deliveries.append(
-                            Delivery(source, record.hop_count, record.total_energy, True)
-                        )
-                        activity[k] = True
-                        if record.died:
-                            for dead_id in record.died:
-                                deaths.append(dead_id)
-                                dead_k = part_of[dead_id]
-                                states[dead_k].on_death(dead_id)
-                                activity[dead_k] = True
-                            dist = state.dist_field_at(pos_idx)
-                    else:
-                        deliveries.append(Delivery(source, record.hop_count, 0.0, False))
+                    deliveries.append(
+                        Delivery(source, record.hop_count, record.total_energy, record.delivered)
+                    )
+                    if not record.delivered:
                         pending_deaths.update(record.underpowered)
                         break  # dropped: stop serving this source this round
+                    activity[k] = True
+                    if record.died:
+                        for dead_id in record.died:
+                            record_death(dead_id)
+                        dist = state.dist_field_at(pos_idx)
 
         # Underpowered nodes could not afford a packet they were routed on;
         # nothing was deducted from them, but they leave the network now.
@@ -285,24 +269,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             node = by_id[node_id]
             if node.alive:
                 node.alive = False
-                deaths.append(node_id)
-                dead_k = part_of[node_id]
-                states[dead_k].on_death(node_id)
-                activity[dead_k] = True
+                record_death(node_id)
 
-        rounds.append(
-            RoundRecord(round_index, sink_positions, tuple(deliveries), tuple(deaths))
-        )
+        rounds.append(RoundRecord(round_index, sink_positions, tuple(deliveries), tuple(deaths)))
 
-        frozen = True
-        for k in range(4):
-            state = states[k]
-            if state is None:
-                continue
-            state.quiet = 0 if activity[k] else state.quiet + 1
-            if state.quiet < len(state.cycle):
-                frozen = False
-        if frozen:
+        for state, active in zip(states, activity):
+            state.quiet = 0 if active else state.quiet + 1
+        if all(state.quiet >= len(state.cycle) for state in states):
             break
 
     return SimulationTrace(

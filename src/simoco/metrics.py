@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .engine import RoundRecord, ScenarioConfig, SimulationTrace, deploy, run_scenario
+from .engine import MODES, RoundRecord, ScenarioConfig, SimulationTrace, deploy, run_scenario
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,15 @@ class MatrixRow:
     energy_conservation_rel_err: Optional[float] = None
 
 
-def _run_cell(args: tuple[ScenarioConfig, int, str, int]) -> MatrixRow:
-    base, size, mode, seed = args
-    config = replace(base, n=size, mode=mode, seed=seed)
+def _run_cell(config: ScenarioConfig) -> MatrixRow:
+    size, mode, seed = config.n, config.mode, config.seed
     try:
         trace = run_scenario(config)
     except Exception as exc:  # failed cell is reported, not fatal
         return MatrixRow(size, mode, seed, None, error=f"{type(exc).__name__}: {exc}")
     report = compute_report(trace)
     delivered = report.delivered_energy
-    drained = sum(
-        config.initial_energy - node.energy for node in trace.field.nodes
-    )
+    drained = sum(config.initial_energy - node.energy for node in trace.field.nodes)
     scale = max(abs(delivered), abs(drained), 1e-30)
     rel_err = abs(delivered - drained) / scale
     return MatrixRow(size, mode, seed, report, energy_conservation_rel_err=rel_err)
@@ -133,7 +130,6 @@ def run_experiment_matrix(
     base: ScenarioConfig,
     sizes: Sequence[int],
     seeds: Sequence[int],
-    modes: Sequence[str] = ("static", "mobile"),
     max_workers: Optional[int] = None,
 ) -> list[MatrixRow]:
     """Run every (size, mode, seed) cell, in parallel across processes when
@@ -144,9 +140,9 @@ def run_experiment_matrix(
     if not seeds:
         raise ValueError("seeds must be nonempty")
     cells = [
-        (base, size, mode, seed)
+        replace(base, n=size, mode=mode, seed=seed)
         for size in sizes
-        for mode in modes
+        for mode in MODES
         for seed in seeds
     ]
     workers = min(resolve_workers(max_workers), len(cells))

@@ -28,7 +28,7 @@ from simoco import (
 )
 from simoco.cli import main
 from simoco.routing import SINK_ID
-from util import make_field, whole_field_partition
+from util import floyd_warshall_hops, make_field, whole_field_partition
 
 SEEDS = list(range(1, 11))
 SIZES = [50, 100, 150, 200, 250, 300]
@@ -209,29 +209,6 @@ def test_criterion_8_energy_conservation(lifetime_batch, scaling_batch, hop_batc
 
 
 def test_criterion_9_route_optimality_oracle():
-    def exhaustive_hops(graph, sink):
-        # the sink joins the search as a vertex adjacent to every node in range
-        adjacency = {u: set(vs) for u, vs in graph.adjacency.items()}
-        adjacency[SINK_ID] = {u for u, node in graph.nodes.items()
-                              if math.dist(node.pos, sink) <= graph.comm_range}
-        for u in adjacency[SINK_ID]:
-            adjacency[u].add(SINK_ID)
-        vertices = sorted(adjacency)
-        inf = float("inf")
-        dist = {u: {v: (0 if u == v else inf) for v in vertices} for u in vertices}
-        for u in vertices:
-            for v in adjacency[u]:
-                dist[u][v] = 1
-        for k in vertices:
-            for i in vertices:
-                dik = dist[i][k]
-                if dik == inf:
-                    continue
-                for j in vertices:
-                    if dik + dist[k][j] < dist[i][j]:
-                        dist[i][j] = dik + dist[k][j]
-        return dist
-
     rng = random.Random(90210)
     fields = 0
     routes = 0
@@ -242,7 +219,7 @@ def test_criterion_9_route_optimality_oracle():
         field = make_field(pts, comm_range=rng.uniform(15, 80), side=side)
         sink = Position(rng.uniform(0, side), rng.uniform(0, side))
         graph = build_graph(field, whole_field_partition(field))
-        oracle = exhaustive_hops(graph, sink)
+        oracle = floyd_warshall_hops(graph, sink)
         for source in sorted(graph.nodes):
             route = min_hop_route(graph, source, sink)
             expected = oracle[source][SINK_ID]

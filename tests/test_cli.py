@@ -155,9 +155,13 @@ class TestExitCodes:
         (["matrix", "--sizes", "8", "--seeds", "1", "--energy", "nan"], None),
         (["matrix", "--sizes", "0", "--seeds", "1"], None),
         (["run", "--mode", "mobile", "--range", "1e-6"], None),
+        (["run", "--traffic", "all:5"], None),
+        (["matrix", "--sizes", "8", "--seeds", "1,1"], None),
+        (["matrix", "--sizes", "8,8", "--seeds", "1"], None),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
-            "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile"])
+            "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile",
+            "traffic-all-count", "matrix-seed-repeated", "matrix-size-repeated"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
         if argv[0] == "run":

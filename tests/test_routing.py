@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from simoco import (
     sink_distance_field,
     tx_energy,
 )
-from util import make_field, whole_field_partition
+from util import floyd_warshall_hops, make_field, whole_field_partition
 
 MODEL = RadioEnergyModel(e_elec=50e-9, e_amp=100e-12, packet_bits=2000)
 
@@ -24,33 +23,6 @@ MODEL = RadioEnergyModel(e_elec=50e-9, e_amp=100e-12, packet_bits=2000)
 def graph_for(points, sink_pos, comm_range=45.0):
     field = make_field(points, comm_range=comm_range, side=500)
     return field, build_graph(field, whole_field_partition(field)), Position(*sink_pos)
-
-
-def floyd_warshall_hops(graph, sink):
-    """Independent all-pairs shortest hop counts over the same adjacency,
-    with the sink added as a vertex joined to every node within range."""
-    adjacency = {u: set(vs) for u, vs in graph.adjacency.items()}
-    adjacency[SINK_ID] = {
-        u for u, node in graph.nodes.items() if math.dist(node.pos, sink) <= graph.comm_range
-    }
-    for u in adjacency[SINK_ID]:
-        adjacency[u].add(SINK_ID)
-    vertices = sorted(adjacency)
-    inf = float("inf")
-    dist = {u: {v: (0 if u == v else inf) for v in vertices} for u in vertices}
-    for u in vertices:
-        for v in adjacency[u]:
-            dist[u][v] = 1
-    for k in vertices:
-        for i in vertices:
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            for j in vertices:
-                alt = dik + dist[k][j]
-                if alt < dist[i][j]:
-                    dist[i][j] = alt
-    return dist
 
 
 class TestBuildGraph:
