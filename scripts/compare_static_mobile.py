@@ -33,8 +33,13 @@ def main() -> int:
     parser.add_argument("--csv", metavar="PATH", help="also write the per-run table")
     args = parser.parse_args()
 
-    base = ScenarioConfig(n=args.nodes, base_n=args.nodes, base_side=200.0,
-                          comm_range=45.0, initial_energy=args.energy)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    try:
+        base = ScenarioConfig(n=args.nodes, base_n=args.nodes, base_side=200.0,
+                              comm_range=45.0, initial_energy=args.energy)
+    except ValueError as exc:
+        parser.error(str(exc))
     seeds = list(range(1, args.seeds + 1))
     start = time.perf_counter()
     rows = run_experiment_matrix(base, sizes=[args.nodes], seeds=seeds)

@@ -9,8 +9,10 @@ per-run table as CSV.
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from simoco import ScenarioConfig, emit_csv, mean_over_seeds, run_experiment_matrix
+from simoco.cli import ConfigError, parse_int_list
 
 
 def cell(value) -> str:
@@ -25,9 +27,16 @@ def main() -> int:
     parser.add_argument("-o", "--output", default="size_sweep.csv")
     args = parser.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    try:  # every size must be valid before any cell runs
+        sizes = parse_int_list(args.sizes, "--sizes")
+        base = ScenarioConfig(base_side=200.0, base_n=50, comm_range=45.0, initial_energy=0.5)
+        for size in sizes:
+            replace(base, n=size)
+    except (ConfigError, ValueError) as exc:
+        parser.error(str(exc))
     seeds = list(range(1, args.seeds + 1))
-    base = ScenarioConfig(base_side=200.0, base_n=50, comm_range=45.0, initial_energy=0.5)
 
     start = time.perf_counter()
     rows = run_experiment_matrix(base, sizes=sizes, seeds=seeds)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from .engine import ScenarioConfig, deploy, run_scenario, trace_lines
+from .engine import MODES, ScenarioConfig, deploy, run_scenario, trace_lines
 from .metrics import emit_csv, resolve_workers, run_experiment_matrix
 from .mobility import generate_tour, tour_export_lines
 
@@ -34,9 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 _CONFIG_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
-_MATRIX_DEFAULT_SIZES = "50,100,150,200,250,300"
-_MATRIX_DEFAULT_SEEDS = "10"
-
 
 def _parse_config_file(path: str) -> dict:
     """Flat `key = value` file; `#` starts a comment; keys must be
@@ -55,47 +52,35 @@ def _parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _cast_value(key, value, f"{path}:{lineno}")
+        target = _CONFIG_FIELD_TYPES[key]
+        try:
+            overrides[key] = target(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} expects {target.__name__}, "
+                              f"got {value!r}") from exc
     return overrides
-
-
-def _cast_value(key: str, value: str, where: str):
-    target = _CONFIG_FIELD_TYPES[key]
-    try:
-        if target is int:
-            return int(value)
-        if target is float:
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key} expects {target.__name__}, got {value!r}") from exc
 
 
 def _parse_traffic(value: str) -> dict:
-    """--traffic VALUE where VALUE is all_nodes_each_round (alias: all) or
-    random_sources[:COUNT] (alias: random[:COUNT])."""
-    name, _, count = value.partition(":")
-    overrides: dict = {}
-    aliases = {"all": "all_nodes_each_round", "random": "random_sources"}
-    name = aliases.get(name, name)
-    overrides["traffic"] = name
-    if count:
-        if name == "all_nodes_each_round":
-            raise ConfigError(f"--traffic {value!r}: all-nodes traffic takes no count")
-        try:
-            overrides["sources_per_round"] = int(count)
-        except ValueError as exc:
-            raise ConfigError(f"--traffic count must be an integer, got {count!r}") from exc
-    return overrides
-
-
-def _parse_int_list(value: str, flag: str) -> list[int]:
+    """--traffic VALUE where VALUE is all_nodes_each_round or
+    random_sources[:COUNT]; only random_sources takes a count."""
+    name, colon, count = value.partition(":")
+    if not colon:
+        return {"traffic": name}
+    if name != "random_sources":
+        raise ConfigError(f"--traffic {value!r}: only random_sources takes a count")
     try:
-        items = [int(part) for part in value.split(",") if part.strip()]
+        return {"traffic": name, "sources_per_round": int(count)}
+    except ValueError as exc:
+        raise ConfigError(f"--traffic count must be an integer, got {count!r}") from exc
+
+
+def parse_int_list(value: str, flag: str) -> list[int]:
+    """Comma-separated integers; an empty or repeated entry is an error."""
+    try:
+        items = [int(part) for part in value.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated integers, got {value!r}") from exc
-    if not items:
-        raise ConfigError(f"{flag} must not be empty")
     if len(set(items)) != len(items):
         raise ConfigError(f"{flag} repeats an entry: {value!r}")
     return items
@@ -104,7 +89,7 @@ def _parse_int_list(value: str, flag: str) -> list[int]:
 def _parse_seeds(value: str) -> list[int]:
     """`--seeds 10` means seeds 1..10; `--seeds 3,7,9` is an explicit list."""
     if "," in value:
-        return _parse_int_list(value, "--seeds")
+        return parse_int_list(value, "--seeds")
     try:
         count = int(value)
     except ValueError as exc:
@@ -114,74 +99,49 @@ def _parse_seeds(value: str) -> list[int]:
     return list(range(1, count + 1))
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, *, nodes: bool, seed: bool) -> None:
-    sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    if nodes:
-        sub.add_argument("--nodes", type=int, metavar="N", help="node count")
-    if seed:
-        sub.add_argument("--seed", type=int, metavar="S", help="scenario seed")
-    sub.add_argument("--range", type=float, metavar="M", dest="comm_range",
-                     help="communication radius in meters")
-    sub.add_argument("-o", "--output", metavar="PATH", help="output file (default: stdout)")
-
-
 def _build_parser() -> _Parser:
+    """Each scenario flag's dest is the ScenarioConfig field it sets, except
+    --traffic, whose spec _parse_traffic splits into two fields."""
     parser = _Parser(prog="simoco", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
     run = subs.add_parser("run", help="simulate one scenario and export its trace")
-    _add_common_flags(run, nodes=True, seed=True)
-    run.add_argument("--mode", choices=("static", "mobile"), help="sink mode")
-    run.add_argument("--rounds", type=int, metavar="R", help="round budget")
-    run.add_argument("--energy", type=float, metavar="J", help="initial node energy in joules")
-    run.add_argument("--packet-bits", type=int, metavar="K", help="packet size in bits")
-    run.add_argument("--traffic", metavar="SPEC",
-                     help="all_nodes_each_round or random_sources[:COUNT]")
-
     matrix = subs.add_parser("matrix", help="run the (size, mode, seed) experiment matrix")
-    _add_common_flags(matrix, nodes=False, seed=False)
-    matrix.add_argument("--sizes", default=_MATRIX_DEFAULT_SIZES, metavar="LIST",
-                        help=f"comma-separated node counts (default {_MATRIX_DEFAULT_SIZES})")
-    matrix.add_argument("--seeds", default=_MATRIX_DEFAULT_SEEDS, metavar="N|LIST",
-                        help="seed count (1..N) or comma-separated seeds (default 10)")
-    matrix.add_argument("--rounds", type=int, metavar="R", help="round budget")
-    matrix.add_argument("--energy", type=float, metavar="J", help="initial node energy in joules")
-    matrix.add_argument("--packet-bits", type=int, metavar="K", help="packet size in bits")
-    matrix.add_argument("--traffic", metavar="SPEC",
-                        help="all_nodes_each_round or random_sources[:COUNT]")
-
     tour = subs.add_parser("tour", help="compute placements and sojourn tours, no simulation")
-    _add_common_flags(tour, nodes=True, seed=True)
 
+    for sub in (run, matrix, tour):
+        sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        sub.add_argument("--range", type=float, metavar="M", dest="comm_range",
+                         help="communication radius in meters")
+        sub.add_argument("-o", "--output", metavar="PATH", help="output file (default: stdout)")
+    for sub in (run, tour):
+        sub.add_argument("--nodes", type=int, metavar="N", dest="n", help="node count")
+        sub.add_argument("--seed", type=int, metavar="S", help="scenario seed")
+    for sub in (run, matrix):
+        sub.add_argument("--rounds", type=int, metavar="R", dest="max_rounds",
+                         help="round budget")
+        sub.add_argument("--energy", type=float, metavar="J", dest="initial_energy",
+                         help="initial node energy in joules")
+        sub.add_argument("--packet-bits", type=int, metavar="K", help="packet size in bits")
+        sub.add_argument("--traffic", metavar="SPEC", dest="traffic_spec",
+                         help="all_nodes_each_round or random_sources[:COUNT]")
+    run.add_argument("--mode", choices=MODES, help="sink mode")
+    matrix.add_argument("--sizes", default="50,100,150,200,250,300", metavar="LIST",
+                        help="comma-separated node counts (default %(default)s)")
+    matrix.add_argument("--seeds", default="10", metavar="N|LIST",
+                        help="seed count (1..N) or comma-separated seeds (default %(default)s)")
     return parser
 
 
-def _scenario_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "config", None):
-        overrides.update(_parse_config_file(args.config))
-    flag_to_field = {
-        "mode": "mode",
-        "nodes": "n",
-        "seed": "seed",
-        "rounds": "max_rounds",
-        "comm_range": "comm_range",
-        "energy": "initial_energy",
-        "packet_bits": "packet_bits",
-    }
-    for flag, field in flag_to_field.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    traffic = getattr(args, "traffic", None)
-    if traffic is not None:
-        overrides.update(_parse_traffic(traffic))
-    return overrides
-
-
-def _build_config(args: argparse.Namespace, defaults: Optional[dict] = None) -> ScenarioConfig:
-    settings = dict(defaults or {})
-    settings.update(_scenario_overrides(args))
+def _build_config(args: argparse.Namespace, **defaults) -> ScenarioConfig:
+    """Dataclass defaults, then `defaults`, then the config file, then flags."""
+    parsed = vars(args)
+    settings = dict(defaults)
+    if args.config:
+        settings.update(_parse_config_file(args.config))
+    settings.update((key, value) for key, value in parsed.items()
+                    if key in _CONFIG_FIELD_TYPES and value is not None)
+    if parsed.get("traffic_spec") is not None:
+        settings.update(_parse_traffic(parsed["traffic_spec"]))
     try:
         return ScenarioConfig(**settings)
     except (TypeError, ValueError) as exc:
@@ -206,8 +166,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     # the scaling experiment grows every field from the 50-node base square,
     # keeping node density constant across sizes
-    base = _build_config(args, defaults={"base_n": 50})
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    base = _build_config(args, base_n=50)
+    sizes = parse_int_list(args.sizes, "--sizes")
     seeds = _parse_seeds(args.seeds)
     try:  # every size and the worker count must be valid before any cell runs
         for size in sizes:

@@ -128,6 +128,68 @@ class TestConfigFileAndOverrides:
         assert "expects int" in capsys.readouterr().err
 
 
+FLAG_FIELDS = {
+    "--config": (None, {"e_elec": 4e-08}),
+    "--range": (["--range", "30"], {"comm_range": 30.0}),
+    "--nodes": (["--nodes", "7"], {"n": 7}),
+    "--seed": (["--seed", "9"], {"seed": 9}),
+    "--rounds": (["--rounds", "77"], {"max_rounds": 77}),
+    "--energy": (["--energy", "0.3"], {"initial_energy": 0.3}),
+    "--packet-bits": (["--packet-bits", "1000"], {"packet_bits": 1000}),
+    "--traffic": (["--traffic", "random_sources:3"],
+                  {"traffic": "random_sources", "sources_per_round": 3}),
+    "--mode": (["--mode", "mobile"], {"mode": "mobile"}),
+}
+SUBCOMMAND_FLAGS = {
+    "run": ["--config", "--range", "--nodes", "--seed", "--rounds", "--energy",
+            "--packet-bits", "--traffic", "--mode"],
+    "matrix": ["--config", "--range", "--rounds", "--energy", "--packet-bits", "--traffic"],
+    "tour": ["--config", "--range", "--nodes", "--seed"],
+}
+SUBCOMMAND_DEFAULTS = {"run": {}, "matrix": {"base_n": 50}, "tour": {}}
+
+
+class StopCommand(Exception):
+    """Raised by the captured entry points once the command has built its config."""
+
+
+@pytest.fixture
+def captured_configs(monkeypatch):
+    configs = []
+
+    def capture(config, *args, **kwargs):
+        configs.append(config)
+        raise StopCommand
+
+    for name in ("run_scenario", "run_experiment_matrix", "deploy"):
+        monkeypatch.setattr(f"simoco.cli.{name}", capture)
+    return configs
+
+
+class TestFlagsReachFields:
+    @pytest.mark.parametrize("subcommand, flag", [
+        (subcommand, flag) for subcommand, flags in SUBCOMMAND_FLAGS.items() for flag in flags
+    ])
+    def test_flag_sets_its_field(self, subcommand, flag, captured_configs, tmp_path):
+        argv, fields = FLAG_FIELDS[flag]
+        if argv is None:
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+            argv = ["--config", str(cfg)]
+        # the capture raises, so main reports a runtime error after building the config
+        assert main([subcommand] + argv) == 2
+        assert captured_configs == [ScenarioConfig(**SUBCOMMAND_DEFAULTS[subcommand], **fields)]
+
+    @pytest.mark.parametrize("subcommand", list(SUBCOMMAND_FLAGS))
+    def test_flag_beats_config_file(self, subcommand, captured_configs, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("comm_range = 20\ne_elec = 4e-08\n")
+        assert main([subcommand, "--config", str(cfg), "--range", "30"]) == 2
+        expected = ScenarioConfig(**SUBCOMMAND_DEFAULTS[subcommand], comm_range=30.0,
+                                  e_elec=4e-08)
+        assert captured_configs == [expected]
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["run", "--frobnicate"]) == 1
@@ -158,10 +220,16 @@ class TestExitCodes:
         (["run", "--traffic", "all:5"], None),
         (["matrix", "--sizes", "8", "--seeds", "1,1"], None),
         (["matrix", "--sizes", "8,8", "--seeds", "1"], None),
+        (["run", "--traffic", "all:"], None),
+        (["run", "--traffic", "random:"], None),
+        (["matrix", "--sizes", "8,,12", "--seeds", "1"], None),
+        (["matrix", "--sizes", "8", "--seeds", "2,"], None),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
             "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile",
-            "traffic-all-count", "matrix-seed-repeated", "matrix-size-repeated"])
+            "traffic-all-count", "matrix-seed-repeated", "matrix-size-repeated",
+            "traffic-all-empty", "traffic-random-empty", "matrix-size-empty-entry",
+            "matrix-seed-trailing-comma"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
         if argv[0] == "run":

@@ -85,3 +85,26 @@ class TestSizeSweep:
         out = capsys.readouterr().out
         assert row(out, "8") == ["8", "n/a", "n/a"]
         assert row(out, "12") == ["12", "n/a", "n/a"]
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("compare_static_mobile", ["--seeds", "0"]),
+    ("compare_static_mobile", ["--nodes", "0"]),
+    ("compare_static_mobile", ["--energy", "nan"]),
+    ("size_sweep", ["--seeds", "0"]),
+    ("size_sweep", ["--sizes", "a", "--seeds", "1"]),
+    ("size_sweep", ["--sizes", "0", "--seeds", "1"]),
+    ("size_sweep", ["--sizes", "8,8", "--seeds", "1"]),
+], ids=["compare-seeds-0", "compare-nodes-0", "compare-energy-nan", "sweep-seeds-0",
+        "sweep-sizes-not-int", "sweep-sizes-0", "sweep-sizes-repeated"])
+def test_bad_argument_is_usage_error(script, argv, tmp_path, monkeypatch, capsys):
+    module = load(script)
+    csv = tmp_path / "runs.csv"
+    output_flag = "--csv" if script == "compare_static_mobile" else "-o"
+    with pytest.raises(SystemExit) as exit_info:
+        run_main(module, monkeypatch, *argv, output_flag, str(csv))
+    assert exit_info.value.code == 2
+    streams = capsys.readouterr()
+    assert "usage:" in streams.err
+    assert streams.out == ""  # no cell ran
+    assert not csv.exists()
