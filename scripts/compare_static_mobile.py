@@ -26,7 +26,7 @@ def cell(value, spec: str) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--nodes", type=int, default=100)
     parser.add_argument("--seeds", type=int, default=10, help="seed count, uses 1..N")
     parser.add_argument("--energy", type=float, default=0.5)

@@ -21,7 +21,7 @@ def cell(value) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--sizes", default="50,100,150,200,250,300")
     parser.add_argument("--seeds", type=int, default=10, help="seed count, uses 1..N")
     parser.add_argument("-o", "--output", default="size_sweep.csv")

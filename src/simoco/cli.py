@@ -24,7 +24,11 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems with exit code 1."""
+    """argparse variant that reports usage problems with exit code 1 and
+    matches a flag only when it is spelled in full; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: A003 - argparse API
         self.print_usage(sys.stderr)

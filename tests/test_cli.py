@@ -241,6 +241,15 @@ class TestExitCodes:
         assert main(argv + ["--rounds", "5", "-o", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["matrix", "--sizes", "8", "--seed", "2"], "--seed"),  # matrix takes --seeds
+        (["run", "--node", "5"], "--node"),  # run takes --nodes
+    ], ids=["matrix-seed-prefix", "run-nodes-prefix"])
+    def test_flag_prefix_exits_one(self, argv, flag, tmp_path, capsys):
+        assert main(argv + ["--rounds", "5", "-o", str(tmp_path / "out")]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", ["abc", "-1"])
     def test_bad_thread_count_exits_one(self, threads, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("SIMOCO_THREADS", threads)

@@ -4,22 +4,12 @@ once, and a mobile-mode delivery takes exactly one hop."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import simoco.engine as engine
 from simoco import ScenarioConfig, run_scenario
+from util import scenario_strategy
 
-scenarios = st.builds(
-    ScenarioConfig,
-    mode=st.sampled_from(engine.MODES),
-    n=st.integers(min_value=1, max_value=40),
-    comm_range=st.floats(min_value=20.0, max_value=60.0),
-    initial_energy=st.floats(min_value=0.002, max_value=0.05),
-    seed=st.integers(min_value=0, max_value=2**32),
-    max_rounds=st.integers(min_value=1, max_value=200),
-    traffic=st.sampled_from(engine.TRAFFIC_MODES),
-    sources_per_round=st.integers(min_value=1, max_value=10),
-)
+scenarios = scenario_strategy()
 invariant = settings(max_examples=40, deadline=None)
 
 
@@ -79,15 +69,15 @@ def test_mobile_delivery_is_one_hop(config):
 
 @pytest.mark.parametrize("mode", engine.MODES)
 def test_build_graph_once_per_partition(mode, monkeypatch):
-    built = []
     build = engine.build_graph
+    # n=3, seed 1 leaves quadrant 3 empty; it gets a graph all the same
+    for n, seed in ((60, 3), (3, 1)):
+        built = []
 
-    def counted(field, partition, *rest):
-        built.append(partition.id)
-        return build(field, partition, *rest)
+        def counted(field, partition, *rest):
+            built.append(partition.id)
+            return build(field, partition, *rest)
 
-    monkeypatch.setattr(engine, "build_graph", counted)
-    trace = run_scenario(ScenarioConfig(mode=mode, n=60, seed=3, max_rounds=200))
-    assert sorted(built) == [
-        k for k, placement in enumerate(trace.placements) if placement is not None
-    ]
+        monkeypatch.setattr(engine, "build_graph", counted)
+        run_scenario(ScenarioConfig(mode=mode, n=n, seed=seed, max_rounds=200))
+        assert sorted(built) == [0, 1, 2, 3]

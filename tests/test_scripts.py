@@ -95,8 +95,11 @@ class TestSizeSweep:
     ("size_sweep", ["--sizes", "a", "--seeds", "1"]),
     ("size_sweep", ["--sizes", "0", "--seeds", "1"]),
     ("size_sweep", ["--sizes", "8,8", "--seeds", "1"]),
+    ("compare_static_mobile", ["--node", "6", "--seed", "1"]),
+    ("size_sweep", ["--size", "8", "--seed", "1"]),
 ], ids=["compare-seeds-0", "compare-nodes-0", "compare-energy-nan", "sweep-seeds-0",
-        "sweep-sizes-not-int", "sweep-sizes-0", "sweep-sizes-repeated"])
+        "sweep-sizes-not-int", "sweep-sizes-0", "sweep-sizes-repeated", "compare-flag-prefix",
+        "sweep-flag-prefix"])
 def test_bad_argument_is_usage_error(script, argv, tmp_path, monkeypatch, capsys):
     module = load(script)
     csv = tmp_path / "runs.csv"

@@ -2,7 +2,10 @@
 
 import math
 
-from simoco import NetworkField, Partition, Position, SensorNode
+from hypothesis import strategies as st
+
+from simoco import NetworkField, Partition, Position, ScenarioConfig, SensorNode
+from simoco.engine import MODES, TRAFFIC_MODES
 from simoco.partitioning import Rect
 from simoco.routing import SINK_ID
 
@@ -13,6 +16,22 @@ def make_field(points, comm_range=45.0, side=None, energy=0.5, seed=0) -> Networ
         side = max((max(x, y) for x, y in points), default=1.0) or 1.0
     nodes = [SensorNode(i, Position(float(x), float(y)), energy) for i, (x, y) in enumerate(points)]
     return NetworkField(nodes=nodes, side=float(side), comm_range=float(comm_range), seed=seed)
+
+
+def scenario_strategy(**overrides):
+    """Small random scenarios, both modes and traffic kinds; a keyword
+    replaces the strategy of that ScenarioConfig field."""
+    fields = dict(
+        mode=st.sampled_from(MODES),
+        n=st.integers(min_value=1, max_value=40),
+        comm_range=st.floats(min_value=20.0, max_value=60.0),
+        initial_energy=st.floats(min_value=0.002, max_value=0.05),
+        seed=st.integers(min_value=0, max_value=2**32),
+        max_rounds=st.integers(min_value=1, max_value=200),
+        traffic=st.sampled_from(TRAFFIC_MODES),
+        sources_per_round=st.integers(min_value=1, max_value=10),
+    )
+    return st.builds(ScenarioConfig, **{**fields, **overrides})
 
 
 def whole_field_partition(field: NetworkField, pid: int = 0) -> Partition:
