@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 
@@ -24,16 +23,16 @@ class SensorNode:
 
 @dataclass
 class NetworkField:
-    """A square deployment area with its nodes and a common disk comm range."""
+    """A square deployment area with its nodes and a common disk comm range.
+    A node's id is its index in `nodes`."""
 
     nodes: list[SensorNode]
     side: float
     comm_range: float
-    seed: int
 
-    @cached_property
-    def by_id(self) -> dict[int, SensorNode]:
-        return {node.id: node for node in self.nodes}
+    def __post_init__(self) -> None:
+        if any(node.id != i for i, node in enumerate(self.nodes)):
+            raise ValueError("every node id must equal its index in nodes")
 
 
 def centroid(points: list[Position]) -> Position:
@@ -76,4 +75,4 @@ def generate_network(
         SensorNode(i, Position(rng.uniform(0.0, side), rng.uniform(0.0, side)), initial_energy)
         for i in range(n)
     ]
-    return NetworkField(nodes=nodes, side=side, comm_range=comm_range, seed=seed)
+    return NetworkField(nodes=nodes, side=side, comm_range=comm_range)

@@ -125,11 +125,10 @@ class _PartitionState:
         # Each member is served at the cycle position nearest to it, preferring
         # positions that cover it (guaranteed to exist by tour coverage);
         # remaining ties break on the earliest position index.
-        by_id = field.by_id
         r = field.comm_range
         groups: list[list[int]] = [[] for _ in cycle]
-        for node_id in sorted(partition.member_ids):
-            pos = by_id[node_id].pos
+        for node_id in partition.member_ids:
+            pos = field.nodes[node_id].pos
             best = min(
                 range(len(cycle)),
                 key=lambda j: (math.dist(pos, cycle[j]) > r, math.dist(pos, cycle[j]), j),
@@ -199,11 +198,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         for partition, placement, tour in zip(partitions, placements, tours)
     ]
 
-    by_id = field.by_id
-    part_of = {node_id: k for k, part in enumerate(partitions) for node_id in part.member_ids}
+    nodes = field.nodes
+    part_of = [0] * len(nodes)
+    for k, part in enumerate(partitions):
+        for node_id in part.member_ids:
+            part_of[node_id] = k
 
     traffic_rng = random.Random(f"traffic:{config.seed}")
-    backlog = {node.id: 0 for node in field.nodes}
+    backlog = [0] * len(nodes)
     rounds: list[RoundRecord] = []
 
     def record_death(node_id: int) -> None:
@@ -214,7 +216,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         activity[k] = True
 
     for round_index in range(1, config.max_rounds + 1):
-        alive_ids = [node.id for node in field.nodes if node.alive]
+        alive_ids = [node.id for node in nodes if node.alive]
         if not alive_ids:
             break
 
@@ -238,13 +240,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             ready = [
                 node_id
                 for node_id in state.assigned_members[pos_idx]
-                if by_id[node_id].alive and backlog[node_id] > 0
+                if nodes[node_id].alive and backlog[node_id] > 0
             ]
             if not ready:
                 continue
             dist = state.dist_field_at(pos_idx)
             for source in ready:
-                node = by_id[source]
+                node = nodes[source]
                 while node.alive and backlog[source] > 0:
                     if source not in dist:
                         break  # unreachable this round: sends nothing, pays nothing
@@ -252,7 +254,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     record = deliver_packet(field, model, route)
                     backlog[source] -= 1
                     deliveries.append(
-                        Delivery(source, record.hop_count, record.total_energy, record.delivered)
+                        Delivery(source, route.hop_count, record.total_energy, record.delivered)
                     )
                     if not record.delivered:
                         pending_deaths.update(record.underpowered)
@@ -266,7 +268,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         # Underpowered nodes could not afford a packet they were routed on;
         # nothing was deducted from them, but they leave the network now.
         for node_id in sorted(pending_deaths):
-            node = by_id[node_id]
+            node = nodes[node_id]
             if node.alive:
                 node.alive = False
                 record_death(node_id)

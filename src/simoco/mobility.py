@@ -58,10 +58,9 @@ def build_coverage_buffer(
     comm_range is a 1-hop neighbor (inclusive rule) and stays out.
     """
     r = field.comm_range
-    by_id = field.by_id
     entries = []
     for node_id in partition.member_ids:
-        pos = by_id[node_id].pos
+        pos = field.nodes[node_id].pos
         d = math.dist(pos, sink)
         if d > r:
             entries.append(CoverageBufferEntry(node_id, pos, d))

@@ -18,7 +18,7 @@ class Rect(NamedTuple):
 @dataclass(frozen=True)
 class Partition:
     id: int
-    member_ids: frozenset[int]
+    member_ids: tuple[int, ...]  # ascending
     bounds: Rect
 
 
@@ -41,13 +41,13 @@ def quadrant_partition(field: NetworkField) -> list[Partition]:
         raise ValueError("cannot partition an empty field")
     side = field.side
     mid = side / 2.0
-    members: list[set[int]] = [set(), set(), set(), set()]
+    members: list[list[int]] = [[], [], [], []]
     for node in field.nodes:
-        members[quadrant_index(node.pos, side)].add(node.id)
+        members[quadrant_index(node.pos, side)].append(node.id)
     bounds = [
         Rect(0.0, 0.0, mid, mid),
         Rect(mid, 0.0, side, mid),
         Rect(0.0, mid, mid, side),
         Rect(mid, mid, side, side),
     ]
-    return [Partition(k, frozenset(members[k]), bounds[k]) for k in range(4)]
+    return [Partition(k, tuple(members[k]), bounds[k]) for k in range(4)]

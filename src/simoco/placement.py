@@ -20,15 +20,9 @@ from .partitioning import Partition
 
 @dataclass(frozen=True)
 class SinkPlacement:
-    partition_id: int
     position: Position
     neighbor_count: int
     iterations: int
-
-
-def _member_positions(field: NetworkField, partition: Partition) -> list[Position]:
-    by_id = field.by_id
-    return [by_id[i].pos for i in sorted(partition.member_ids)]
 
 
 def _count_in_range(points: list[Position], p: Position, r: float) -> int:
@@ -47,7 +41,7 @@ def cnp_iterates(field: NetworkField, partition: Partition) -> Iterator[tuple[Po
     """
     if not partition.member_ids:
         raise ValueError(f"empty partition {partition.id}")
-    points = _member_positions(field, partition)
+    points = [field.nodes[i].pos for i in partition.member_ids]
     r = field.comm_range
     current = centroid(points)
     count = _count_in_range(points, current, r)
@@ -70,4 +64,4 @@ def cnp_initial_sink_position(field: NetworkField, partition: Partition) -> Sink
     for position, count in cnp_iterates(field, partition):
         iterations += 1
     assert position is not None
-    return SinkPlacement(partition.id, position, count, iterations)
+    return SinkPlacement(position, count, iterations)

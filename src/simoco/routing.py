@@ -1,11 +1,12 @@
 """Connectivity graph, minimum-hop routing, and radio energy accounting.
 
 Routing is a breadth-first shortest path to the sink. The graph joins
-nodes only; the sink is a routing parameter, not a vertex, so one graph
-serves every sink position of a partition. Among next hops that lie on some
-fewest-hop path, the neighbor with the highest residual energy wins,
-remaining ties break on the lowest node id; this rotates relay duty as
-batteries drain while keeping routes deterministic.
+nodes only, keyed by node id, which indexes `field.nodes`; the sink is a
+position passed to routing, not a vertex, so one graph serves every sink
+position of a partition. Among next hops that lie on some fewest-hop path,
+the neighbor with the highest residual energy wins, remaining ties break
+on the lowest node id; this rotates relay duty as batteries drain while
+keeping routes deterministic.
 
 Energy follows the first order radio model: transmitting k bits over
 distance d costs e_elec*k + e_amp*k*d^2, receiving costs e_elec*k, and the
@@ -19,40 +20,39 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import NetworkField, Position, SensorNode
+from .core import NetworkField, Position
 from .partitioning import Partition
 
+# The sink is a position, so no route or distance field holds this id. Only
+# perfbench/worker.py reads the name, until ROADMAP item 3 removes it there.
 SINK_ID = -1
 
 
 @dataclass
 class ConnectivityGraph:
-    """Undirected graph over one partition's alive members.
-
-    Edges join alive nodes within comm_range of each other. `nodes` keeps
-    live references so residual energy is read at routing time.
+    """Undirected graph over one partition's alive members, which are the
+    keys of `adjacency`; edges join members within comm_range of each other.
+    Positions and residual energy are read from `field` at routing time.
     """
 
-    nodes: dict[int, SensorNode]
+    field: NetworkField
     adjacency: dict[int, set[int]]
-    comm_range: float
 
 
 @dataclass(frozen=True)
 class Route:
-    """Hop sequence from `source` (exclusive) to the sink, SINK_ID (inclusive)."""
+    """The nodes that transmit a packet, source first; the last sends to the
+    sink at `sink_pos`."""
 
-    source: int
-    hops: tuple[int, ...]
+    path: tuple[int, ...]
     sink_pos: Position
 
     @property
     def hop_count(self) -> int:
-        return len(self.hops)
+        return len(self.path)
 
 
 class DeliveryRecord(NamedTuple):
-    hop_count: int
     total_energy: float
     delivered: bool
     died: tuple[int, ...]
@@ -82,36 +82,32 @@ def rx_energy(model: RadioEnergyModel) -> float:
 
 def build_graph(field: NetworkField, partition: Partition) -> ConnectivityGraph:
     r = field.comm_range
-    by_id = field.by_id
-    alive = [by_id[i] for i in sorted(partition.member_ids) if by_id[i].alive]
-    nodes = {node.id: node for node in alive}
+    alive = [field.nodes[i] for i in partition.member_ids if field.nodes[i].alive]
     adjacency: dict[int, set[int]] = {node.id: set() for node in alive}
     for i, a in enumerate(alive):
         for b in alive[i + 1 :]:
             if math.dist(a.pos, b.pos) <= r:
                 adjacency[a.id].add(b.id)
                 adjacency[b.id].add(a.id)
-    return ConnectivityGraph(nodes, adjacency, r)
+    return ConnectivityGraph(field, adjacency)
 
 
 def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
     """Drop a (dead) node from the graph in place."""
     for other in graph.adjacency.pop(node_id, ()):
         graph.adjacency[other].discard(node_id)
-    graph.nodes.pop(node_id, None)
 
 
 def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> dict[int, int]:
-    """Hop distance to a sink at `sink_pos` for every vertex that can reach
-    it (BFS); the nodes within comm_range of the sink are one hop away, and
-    SINK_ID maps to 0."""
-    dist = {SINK_ID: 0}
+    """Hop distance to a sink at `sink_pos` for every node that can reach it
+    (BFS); the nodes within comm_range of the sink are one hop away."""
+    nodes, r, adjacency = graph.field.nodes, graph.field.comm_range, graph.adjacency
+    dist = {}
     queue: deque[int] = deque()
-    for node_id, node in graph.nodes.items():
-        if math.dist(node.pos, sink_pos) <= graph.comm_range:
+    for node_id in adjacency:
+        if math.dist(nodes[node_id].pos, sink_pos) <= r:
             dist[node_id] = 1
             queue.append(node_id)
-    adjacency = graph.adjacency
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
@@ -123,43 +119,33 @@ def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> dict[in
 
 
 def min_hop_route(
-    graph: ConnectivityGraph,
-    source: int,
-    sink_pos: Position,
-    dist_field: Optional[dict[int, int]] = None,
+    graph: ConnectivityGraph, source: int, sink_pos: Position, dist_field: dict[int, int]
 ) -> Optional[Route]:
     """Fewest-hop route from source to a sink at `sink_pos`, or None when
-    unreachable.
-
-    Accepts that sink's precomputed distance field so a round's BFS can be
-    shared across sources; passing one changes nothing in the result.
-    """
-    node = graph.nodes.get(source)
-    if node is None or not node.alive:
+    unreachable; `dist_field` is that sink's `sink_distance_field`, so one
+    BFS serves every source of a round."""
+    nodes = graph.field.nodes
+    adjacency = graph.adjacency
+    if source not in adjacency or not nodes[source].alive:
         raise ValueError(f"source {source} is dead or not in the graph")
-    dist = dist_field if dist_field is not None else sink_distance_field(graph, sink_pos)
-    d = dist.get(source)
+    d = dist_field.get(source)
     if d is None:
         return None
-    nodes = graph.nodes
-    adjacency = graph.adjacency
-    hops: list[int] = []
+    path = [source]
     current = source
     while d > 1:
         best = None
         best_key = None
         for v in adjacency[current]:
-            if dist.get(v) == d - 1:
-                cand = nodes[v]
-                key = (cand.energy, -v)
+            if dist_field.get(v) == d - 1:
+                key = (nodes[v].energy, -v)
                 if best_key is None or key > best_key:
                     best, best_key = v, key
         assert best is not None, "distance field inconsistent with adjacency"
-        hops.append(best)
+        path.append(best)
         current = best
         d -= 1
-    hops.append(SINK_ID)
-    return Route(source, tuple(hops), sink_pos)
+    return Route(tuple(path), sink_pos)
 
 
 def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -> DeliveryRecord:
@@ -172,11 +158,9 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
     dead at round end by the caller). Nodes whose energy falls below the
     death threshold after a completed delivery are marked dead here.
     """
-    by_id = field.by_id
-    path = [route.source] + [h for h in route.hops if h != SINK_ID]
     nodes = []
-    for node_id in path:
-        node = by_id[node_id]
+    for node_id in route.path:
+        node = field.nodes[node_id]
         if not node.alive:
             raise ValueError(f"stale route: node {node_id} is dead")
         nodes.append(node)
@@ -189,7 +173,7 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
         costs.append(cost)
     underpowered = tuple(n.id for n, c in zip(nodes, costs) if n.energy < c)
     if underpowered:
-        return DeliveryRecord(route.hop_count, 0.0, False, (), underpowered)
+        return DeliveryRecord(0.0, False, (), underpowered)
     total = 0.0
     for node, cost in zip(nodes, costs):
         node.energy -= cost
@@ -200,4 +184,4 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
         if node.alive and node.energy < threshold:
             node.alive = False
             died.append(node.id)
-    return DeliveryRecord(route.hop_count, total, True, tuple(died), ())
+    return DeliveryRecord(total, True, tuple(died), ())

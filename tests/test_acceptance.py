@@ -25,10 +25,10 @@ from simoco import (
     next_sojourn_point,
     quadrant_partition,
     run_experiment_matrix,
+    sink_distance_field,
 )
 from simoco.cli import main
-from simoco.routing import SINK_ID
-from util import floyd_warshall_hops, make_field, whole_field_partition
+from util import SINK, floyd_warshall_hops, make_field, whole_field_partition
 
 SEEDS = list(range(1, 11))
 SIZES = [50, 100, 150, 200, 250, 300]
@@ -141,7 +141,7 @@ def test_criterion_5_tour_coverage(random_partitions):
         tour = generate_tour(field, partition, placement)
         cycle = tour.cycle()
         for node_id in partition.member_ids:
-            pos = field.by_id[node_id].pos
+            pos = field.nodes[node_id].pos
             if min(math.dist(pos, p) for p in cycle) > field.comm_range:
                 violations += 1
     assert violations == 0
@@ -220,9 +220,10 @@ def test_criterion_9_route_optimality_oracle():
         sink = Position(rng.uniform(0, side), rng.uniform(0, side))
         graph = build_graph(field, whole_field_partition(field))
         oracle = floyd_warshall_hops(graph, sink)
-        for source in sorted(graph.nodes):
-            route = min_hop_route(graph, source, sink)
-            expected = oracle[source][SINK_ID]
+        dist = sink_distance_field(graph, sink)
+        for source in sorted(graph.adjacency):
+            route = min_hop_route(graph, source, sink, dist)
+            expected = oracle[source][SINK]
             if route is None:
                 assert expected == float("inf")
             else:

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simoco import (
+    NetworkField,
     Position,
+    SensorNode,
     centroid,
     generate_network,
     one_hop_neighbors,
@@ -42,6 +44,15 @@ class TestCentroid:
         eps = 1e-6
         assert min(p.x for p in pts) - eps <= c.x <= max(p.x for p in pts) + eps
         assert min(p.y for p in pts) - eps <= c.y <= max(p.y for p in pts) + eps
+
+
+class TestNetworkField:
+    def test_node_id_must_be_its_index(self):
+        nodes = [SensorNode(1, Position(0, 0), 0.5), SensorNode(0, Position(5, 5), 0.5)]
+        with pytest.raises(ValueError, match="index"):
+            NetworkField(nodes=nodes, side=10.0, comm_range=45.0)
+        nodes.reverse()
+        assert NetworkField(nodes=nodes, side=10.0, comm_range=45.0).nodes[1].id == 1
 
 
 class TestOneHopNeighbors:

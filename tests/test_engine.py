@@ -160,7 +160,7 @@ class TestRunScenario:
         assert isolated, "seed is known to produce an uncovered partition"
         # nodes 2 and 4 form the uncovered partition for this seed
         for node_id in (2, 4):
-            node = trace.field.by_id[node_id]
+            node = trace.field.nodes[node_id]
             assert node.energy == config.initial_energy
             assert node.alive
         sources = {d.source for rec in trace.rounds for d in rec.deliveries}

@@ -35,7 +35,7 @@ def fake_trace(rounds, neighbor_sets=None):
         tours=None,
         rounds=list(rounds),
         initial_neighbor_sets=neighbor_sets or [frozenset()] * 4,
-        field=NetworkField(nodes=[], side=200.0, comm_range=45.0, seed=0),
+        field=NetworkField(nodes=[], side=200.0, comm_range=45.0),
     )
 
 
@@ -89,7 +89,7 @@ class TestMetricOps:
         # quadrant border, so its set dies only when node 94 does.
         config = ScenarioConfig(seed=1)
         _, partitions, _, neighbor_sets = deploy(config)
-        own = neighbor_sets[1] & partitions[1].member_ids
+        own = neighbor_sets[1] & set(partitions[1].member_ids)
         assert neighbor_sets[1] - own == {94}
         trace = fake_trace(
             [round_rec(5, deaths=sorted(own)), round_rec(9, deaths=[94])],

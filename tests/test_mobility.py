@@ -20,7 +20,7 @@ from util import make_field, whole_field_partition
 def tour_for(points, sink_pos, comm_range=45.0):
     field = make_field(points, comm_range=comm_range, side=500)
     part = whole_field_partition(field)
-    placement = SinkPlacement(0, Position(float(sink_pos[0]), float(sink_pos[1])), 0, 1)
+    placement = SinkPlacement(Position(float(sink_pos[0]), float(sink_pos[1])), 0, 1)
     return generate_tour(field, part, placement)
 
 

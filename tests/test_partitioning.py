@@ -53,7 +53,7 @@ class TestQuadrantPartition:
         field = generate_network(120, 200, 50, 45, 7, 0.5)
         for p in quadrant_partition(field):
             for node_id in p.member_ids:
-                pos = field.by_id[node_id].pos
+                pos = field.nodes[node_id].pos
                 b = p.bounds
                 assert b.x_min <= pos.x <= b.x_max
                 assert b.y_min <= pos.y <= b.y_max
@@ -69,4 +69,4 @@ class TestQuadrantPartition:
         assert set(ids) == {node.id for node in field.nodes}  # total
         for p in parts:
             for node_id in p.member_ids:
-                assert quadrant_index(field.by_id[node_id].pos, field.side) == p.id
+                assert quadrant_index(field.nodes[node_id].pos, field.side) == p.id

@@ -103,7 +103,7 @@ class TestCnpProperties:
             in_range = sum(
                 1
                 for node_id in part.member_ids
-                if math.dist(field.by_id[node_id].pos, placement.position) <= field.comm_range
+                if math.dist(field.nodes[node_id].pos, placement.position) <= field.comm_range
             )
             assert placement.neighbor_count == in_range
 

@@ -5,7 +5,6 @@ import pytest
 from simoco import (
     Position,
     RadioEnergyModel,
-    SINK_ID,
     build_graph,
     deliver_packet,
     generate_network,
@@ -15,7 +14,7 @@ from simoco import (
     sink_distance_field,
     tx_energy,
 )
-from util import floyd_warshall_hops, make_field, whole_field_partition
+from util import SINK, floyd_warshall_hops, make_field, whole_field_partition
 
 MODEL = RadioEnergyModel(e_elec=50e-9, e_amp=100e-12, packet_bits=2000)
 
@@ -29,7 +28,7 @@ class TestBuildGraph:
     def test_path_topology(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
         assert g.adjacency == {0: {1}, 1: {0, 2}, 2: {1}}
-        assert sink_distance_field(g, sink) == {SINK_ID: 0, 2: 1, 1: 2, 0: 3}
+        assert sink_distance_field(g, sink) == {2: 1, 1: 2, 0: 3}
 
     def test_all_dead_leaves_sink_only(self):
         field = make_field([(0, 0), (10, 0)], side=100)
@@ -37,8 +36,7 @@ class TestBuildGraph:
             node.alive = False
         g = build_graph(field, whole_field_partition(field))
         assert g.adjacency == {}
-        assert g.nodes == {}
-        assert sink_distance_field(g, Position(0, 0)) == {SINK_ID: 0}
+        assert sink_distance_field(g, Position(0, 0)) == {}
 
     def test_coincident_nodes_adjacent(self):
         _, g, _ = graph_for([(5, 5), (5, 5)], (200, 200))
@@ -49,51 +47,40 @@ class TestBuildGraph:
 class TestMinHopRoute:
     def test_forced_three_hop_path(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        route = min_hop_route(g, 0, sink)
-        assert route.hops == (1, 2, SINK_ID)
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        assert route.path == (0, 1, 2)
         assert route.hop_count == 3
 
     def test_direct_hop(self):
         _, g, sink = graph_for([(10, 0)], (0, 0))
-        route = min_hop_route(g, 0, sink)
-        assert route.hops == (SINK_ID,)
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        assert route.path == (0,)
         assert route.hop_count == 1
 
     def test_disconnected_source_unreachable(self):
         _, g, sink = graph_for([(0, 0), (300, 300)], (310, 300))
-        assert min_hop_route(g, 0, sink) is None
+        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)) is None
 
     def test_dead_or_unknown_source_rejected(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
         with pytest.raises(ValueError):
-            min_hop_route(g, 99, sink)
+            min_hop_route(g, 99, sink, sink_distance_field(g, sink))
         field.nodes[0].alive = False
         with pytest.raises(ValueError):
-            min_hop_route(g, 0, sink)
+            min_hop_route(g, 0, sink, sink_distance_field(g, sink))
 
     def test_energy_tie_break_prefers_higher_residual(self):
         # two equal-hop relays; the richer one carries the packet
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 0.2
         field.nodes[2].energy = 0.3
-        assert min_hop_route(g, 0, sink).hops == (2, SINK_ID)
+        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 2)
         field.nodes[1].energy = 0.5
-        assert min_hop_route(g, 0, sink).hops == (1, SINK_ID)
+        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 1)
 
     def test_equal_energy_tie_break_prefers_lower_id(self):
         _, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
-        assert min_hop_route(g, 0, sink).hops == (1, SINK_ID)
-
-    def test_precomputed_distance_field_changes_nothing(self):
-        field = generate_network(40, 200, 100, 45, 8, 0.5)
-        part = quadrant_partition(field)[0]
-        if not part.member_ids:
-            pytest.skip("empty quadrant for this seed")
-        g = build_graph(field, part)
-        sink = Position(50, 50)
-        dist = sink_distance_field(g, sink)
-        for source in sorted(g.nodes):
-            assert min_hop_route(g, source, sink) == min_hop_route(g, source, sink, dist)
+        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 1)
 
     def test_hop_counts_match_exhaustive_search(self):
         rng = random.Random(2024)
@@ -105,9 +92,10 @@ class TestMinHopRoute:
             sink = Position(rng.uniform(0, side), rng.uniform(0, side))
             g = build_graph(field, whole_field_partition(field))
             oracle = floyd_warshall_hops(g, sink)
-            for source in sorted(g.nodes):
-                route = min_hop_route(g, source, sink)
-                expected = oracle[source][SINK_ID]
+            dist = sink_distance_field(g, sink)
+            for source in sorted(g.adjacency):
+                route = min_hop_route(g, source, sink, dist)
+                expected = oracle[source][SINK]
                 if route is None:
                     assert expected == float("inf")
                 else:
@@ -145,16 +133,18 @@ class TestRadioEnergy:
 class TestDeliverPacket:
     def test_single_hop_sink_receives_free(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        record = deliver_packet(field, MODEL, route)
         assert record.delivered
-        assert record.hop_count == 1
+        assert route.hop_count == 1
         assert record.total_energy == pytest.approx(1.2e-4, rel=1e-12)
         assert field.nodes[0].energy == pytest.approx(0.5 - 1.2e-4, rel=1e-12)
 
     def test_relay_pays_rx_plus_tx(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
-        assert record.hop_count == 2
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        record = deliver_packet(field, MODEL, route)
+        assert route.hop_count == 2
         assert record.total_energy == pytest.approx(3.4e-4, rel=1e-12)
         assert field.nodes[0].energy == pytest.approx(0.5 - 1.2e-4, rel=1e-12)
         assert field.nodes[1].energy == pytest.approx(0.5 - 2.2e-4, rel=1e-12)
@@ -162,7 +152,8 @@ class TestDeliverPacket:
     def test_exact_exhaustion_marks_dead(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
         field.nodes[0].energy = tx_energy(MODEL, 10.0)
-        record = deliver_packet(field, MODEL, min_hop_route(g, 0, sink))
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        record = deliver_packet(field, MODEL, route)
         assert record.delivered
         assert field.nodes[0].energy == 0.0
         assert not field.nodes[0].alive
@@ -170,7 +161,7 @@ class TestDeliverPacket:
 
     def test_stale_route_rejected(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0, sink)
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
         field.nodes[1].alive = False
         with pytest.raises(ValueError, match="stale route"):
             deliver_packet(field, MODEL, route)
@@ -178,7 +169,7 @@ class TestDeliverPacket:
     def test_insufficient_energy_drops_packet_without_deduction(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
         field.nodes[1].energy = 1.5e-4  # relay needs rx + tx ~ 2.2e-4
-        route = min_hop_route(g, 0, sink)
+        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
         record = deliver_packet(field, MODEL, route)
         assert not record.delivered
         assert record.total_energy == 0.0
@@ -194,8 +185,10 @@ class TestDeliverPacket:
         g = build_graph(field, part)
         spent = 0.0
         before = sum(node.energy for node in field.nodes)
-        for source in sorted(g.nodes):
-            route = min_hop_route(g, source, Position(150, 150))
+        sink = Position(150, 150)
+        dist = sink_distance_field(g, sink)
+        for source in sorted(g.adjacency):
+            route = min_hop_route(g, source, sink, dist)
             if route is None:
                 continue
             record = deliver_packet(field, MODEL, route)
@@ -210,8 +203,8 @@ class TestDeliverPacket:
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 6.0e-4
         field.nodes[2].energy = 5.0e-4
-        first_route = min_hop_route(g, 0, sink)
-        assert first_route.hops == (1, SINK_ID)
+        first_route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        assert first_route.path == (0, 1)
         first = deliver_packet(field, MODEL, first_route)
         assert first.delivered
         assert first.died == (1,)
@@ -219,4 +212,4 @@ class TestDeliverPacket:
         from simoco.routing import remove_node
 
         remove_node(g, 1)
-        assert min_hop_route(g, 0, sink).hops == (2, SINK_ID)
+        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 2)

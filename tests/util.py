@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from simoco import NetworkField, Partition, Position, ScenarioConfig, SensorNode
 from simoco.engine import MODES, TRAFFIC_MODES
 from simoco.partitioning import Rect
-from simoco.routing import SINK_ID
 
 
-def make_field(points, comm_range=45.0, side=None, energy=0.5, seed=0) -> NetworkField:
+def make_field(points, comm_range=45.0, side=None, energy=0.5) -> NetworkField:
     """Field with nodes at explicit positions, ids in listing order."""
     if side is None:
         side = max((max(x, y) for x, y in points), default=1.0) or 1.0
     nodes = [SensorNode(i, Position(float(x), float(y)), energy) for i, (x, y) in enumerate(points)]
-    return NetworkField(nodes=nodes, side=float(side), comm_range=float(comm_range), seed=seed)
+    return NetworkField(nodes=nodes, side=float(side), comm_range=float(comm_range))
 
 
 def scenario_strategy(**overrides):
@@ -38,21 +37,23 @@ def whole_field_partition(field: NetworkField, pid: int = 0) -> Partition:
     """A partition containing every node of the field."""
     return Partition(
         pid,
-        frozenset(node.id for node in field.nodes),
+        tuple(node.id for node in field.nodes),
         Rect(0.0, 0.0, field.side, field.side),
     )
 
 
+SINK = "sink"  # the oracle's own sink vertex; node ids are ints
+
+
 def floyd_warshall_hops(graph, sink):
     """Independent all-pairs shortest hop counts over the same adjacency,
-    with the sink added as a vertex joined to every node within range."""
+    with the sink added as a vertex, SINK, joined to every node within range."""
+    nodes, r = graph.field.nodes, graph.field.comm_range
     adjacency = {u: set(vs) for u, vs in graph.adjacency.items()}
-    adjacency[SINK_ID] = {
-        u for u, node in graph.nodes.items() if math.dist(node.pos, sink) <= graph.comm_range
-    }
-    for u in adjacency[SINK_ID]:
-        adjacency[u].add(SINK_ID)
-    vertices = sorted(adjacency)
+    adjacency[SINK] = {u for u in graph.adjacency if math.dist(nodes[u].pos, sink) <= r}
+    for u in adjacency[SINK]:
+        adjacency[u].add(SINK)
+    vertices = list(adjacency)
     inf = float("inf")
     dist = {u: {v: (0 if u == v else inf) for v in vertices} for u in vertices}
     for u in vertices:
