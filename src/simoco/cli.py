@@ -206,6 +206,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if args.output:  # a bad -o fails before any run, creating nothing
+            output = Path(args.output)
+            if output.is_dir():
+                raise ConfigError(f"output {output} is a directory")
+            if not output.parent.is_dir():
+                raise ConfigError(f"output directory {output.parent} does not exist")
         if args.subcommand == "run":
             return _cmd_run(args)
         if args.subcommand == "matrix":

@@ -33,6 +33,7 @@ from .partitioning import Partition, quadrant_partition
 from .placement import SinkPlacement, cnp_initial_sink_position
 from .routing import (
     RadioEnergyModel,
+    SinkField,
     build_graph,
     deliver_packet,
     min_hop_route,
@@ -120,7 +121,8 @@ class _PartitionState:
 
     __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
 
-    def __init__(self, partition: Partition, field: NetworkField, cycle: tuple[Position, ...]):
+    def __init__(self, partition: Partition, field: NetworkField, model: RadioEnergyModel,
+                 cycle: tuple[Position, ...]):
         self.cycle = cycle
         # Each member is served at the cycle position nearest to it, preferring
         # positions that cover it (guaranteed to exist by tour coverage);
@@ -135,11 +137,11 @@ class _PartitionState:
             )
             groups[best].append(node_id)
         self.assigned_members = [tuple(g) for g in groups]
-        self.graph = build_graph(field, partition)
-        self.dist_fields: dict[int, dict[int, int]] = {}
+        self.graph = build_graph(field, partition, model)
+        self.dist_fields: dict[int, SinkField] = {}
         self.quiet = 0
 
-    def dist_field_at(self, pos_idx: int) -> dict[int, int]:
+    def dist_field_at(self, pos_idx: int) -> SinkField:
         df = self.dist_fields.get(pos_idx)
         if df is None:
             df = sink_distance_field(self.graph, self.cycle[pos_idx])
@@ -192,7 +194,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     ]
     # an empty quadrant's sink idles at the quadrant centre and serves no one
     states = [
-        _PartitionState(partition, field, tour.cycle() if tour is not None else (
+        _PartitionState(partition, field, model, tour.cycle() if tour is not None else (
             placement.position if placement is not None else _quadrant_center(partition),
         ))
         for partition, placement, tour in zip(partitions, placements, tours)
@@ -248,9 +250,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             for source in ready:
                 node = nodes[source]
                 while node.alive and backlog[source] > 0:
-                    if source not in dist:
+                    if source not in dist.hops:
                         break  # unreachable this round: sends nothing, pays nothing
-                    route = min_hop_route(state.graph, source, sink_positions[k], dist)
+                    route = min_hop_route(state.graph, source, dist)
                     record = deliver_packet(field, model, route)
                     backlog[source] -= 1
                     deliveries.append(

@@ -41,10 +41,6 @@ class SojournTour:
     initial: Position
     points: tuple[Position, ...]
 
-    @property
-    def step_count(self) -> int:
-        return len(self.points)
-
     def cycle(self) -> tuple[Position, ...]:
         return (self.initial,) + self.points
 

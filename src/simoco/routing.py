@@ -30,26 +30,36 @@ SINK_ID = -1
 
 @dataclass
 class ConnectivityGraph:
-    """Undirected graph over one partition's alive members, which are the
-    keys of `adjacency`; edges join members within comm_range of each other.
-    Positions and residual energy are read from `field` at routing time.
+    """Undirected graph over one partition's alive members, the keys of
+    `adjacency`; `adjacency[u][v]` is u's tx cost, priced once under `model`,
+    to a neighbor v within comm_range. Residual energy is read at routing time.
     """
 
     field: NetworkField
-    adjacency: dict[int, set[int]]
+    model: RadioEnergyModel
+    adjacency: dict[int, dict[int, float]]
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """The nodes that transmit a packet, source first; the last sends to the
-    sink at `sink_pos`."""
+    sink. `costs[i]` is what `path[i]` pays: its tx cost, plus rx for a relay."""
 
     path: tuple[int, ...]
-    sink_pos: Position
+    costs: tuple[float, ...]
 
     @property
     def hop_count(self) -> int:
         return len(self.path)
+
+
+class SinkField(NamedTuple):
+    """One sink position's routing state until a node dies: each reaching
+    node's hop count, each in-range node's one-hop route, and, filled on
+    first use, each node's `(neighbor, tx cost)` pairs one hop closer."""
+
+    hops: dict[int, int]
+    direct: dict[int, Route]
+    closer: dict[int, list[tuple[int, float]]]
 
 
 class DeliveryRecord(NamedTuple):
@@ -80,108 +90,108 @@ def rx_energy(model: RadioEnergyModel) -> float:
     return model.e_elec * model.packet_bits
 
 
-def build_graph(field: NetworkField, partition: Partition) -> ConnectivityGraph:
+def build_graph(
+    field: NetworkField, partition: Partition, model: RadioEnergyModel
+) -> ConnectivityGraph:
     r = field.comm_range
     alive = [field.nodes[i] for i in partition.member_ids if field.nodes[i].alive]
-    adjacency: dict[int, set[int]] = {node.id: set() for node in alive}
+    adjacency: dict[int, dict[int, float]] = {node.id: {} for node in alive}
     for i, a in enumerate(alive):
         for b in alive[i + 1 :]:
-            if math.dist(a.pos, b.pos) <= r:
-                adjacency[a.id].add(b.id)
-                adjacency[b.id].add(a.id)
-    return ConnectivityGraph(field, adjacency)
+            d = math.dist(a.pos, b.pos)
+            if d <= r:
+                adjacency[a.id][b.id] = adjacency[b.id][a.id] = tx_energy(model, d)
+    return ConnectivityGraph(field, model, adjacency)
 
 
 def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
     """Drop a (dead) node from the graph in place."""
     for other in graph.adjacency.pop(node_id, ()):
-        graph.adjacency[other].discard(node_id)
+        del graph.adjacency[other][node_id]
 
 
-def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> dict[int, int]:
+def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> SinkField:
     """Hop distance to a sink at `sink_pos` for every node that can reach it
     (BFS); the nodes within comm_range of the sink are one hop away."""
     nodes, r, adjacency = graph.field.nodes, graph.field.comm_range, graph.adjacency
-    dist = {}
+    hops, direct = {}, {}
     queue: deque[int] = deque()
     for node_id in adjacency:
-        if math.dist(nodes[node_id].pos, sink_pos) <= r:
-            dist[node_id] = 1
+        d = math.dist(nodes[node_id].pos, sink_pos)
+        if d <= r:
+            hops[node_id] = 1
+            direct[node_id] = Route((node_id,), (tx_energy(graph.model, d),))
             queue.append(node_id)
     while queue:
         u = queue.popleft()
-        du = dist[u] + 1
+        du = hops[u] + 1
         for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = du
+            if v not in hops:
+                hops[v] = du
                 queue.append(v)
-    return dist
+    return SinkField(hops, direct, {})
 
 
-def min_hop_route(
-    graph: ConnectivityGraph, source: int, sink_pos: Position, dist_field: dict[int, int]
-) -> Optional[Route]:
-    """Fewest-hop route from source to a sink at `sink_pos`, or None when
-    unreachable; `dist_field` is that sink's `sink_distance_field`, so one
-    BFS serves every source of a round."""
+def min_hop_route(graph: ConnectivityGraph, source: int, sink_field: SinkField) -> Optional[Route]:
+    """Fewest-hop route from source to the sink of `sink_field`, or None when
+    unreachable; one `sink_distance_field` serves every source of a round."""
     nodes = graph.field.nodes
-    adjacency = graph.adjacency
-    if source not in adjacency or not nodes[source].alive:
+    if source not in graph.adjacency or not nodes[source].alive:
         raise ValueError(f"source {source} is dead or not in the graph")
-    d = dist_field.get(source)
+    hops, direct, closer = sink_field
+    route = direct.get(source)
+    if route is not None:
+        return route
+    d = hops.get(source)
     if d is None:
         return None
-    path = [source]
-    current = source
+    relay_rx = rx_energy(graph.model)
+    path, costs, current = [source], [], source
+    rx = 0.0  # the source receives nothing, and tx + 0.0 == tx
     while d > 1:
-        best = None
-        best_key = None
-        for v in adjacency[current]:
-            if dist_field.get(v) == d - 1:
-                key = (nodes[v].energy, -v)
-                if best_key is None or key > best_key:
-                    best, best_key = v, key
-        assert best is not None, "distance field inconsistent with adjacency"
+        options = closer.get(current)
+        if options is None:
+            options = closer[current] = [
+                (v, cost) for v, cost in graph.adjacency[current].items() if hops.get(v) == d - 1
+            ]
+        best, best_cost = options[0]
+        best_energy = nodes[best].energy
+        for v, cost in options:
+            energy = nodes[v].energy
+            if energy > best_energy or (energy == best_energy and v < best):
+                best, best_cost, best_energy = v, cost, energy
         path.append(best)
+        costs.append(best_cost + rx)
+        rx = relay_rx
         current = best
         d -= 1
-    return Route(tuple(path), sink_pos)
+    costs.append(direct[current].costs[0] + rx)
+    return Route(tuple(path), tuple(costs))
 
 
 def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -> DeliveryRecord:
-    """Charge one packet's traversal of `route` against the field's nodes.
-
-    Every sender pays tx for its hop distance and every relay additionally
-    pays rx; the sink pays nothing. Delivery is atomic: if any node on the
-    route cannot afford its share, the packet is dropped, nothing is
-    deducted, and the offenders are reported as underpowered (to be marked
-    dead at round end by the caller). Nodes whose energy falls below the
-    death threshold after a completed delivery are marked dead here.
+    """Charge one packet's traversal of `route`: each node pays its share in
+    `route.costs`, the sink nothing. Delivery is atomic: if any node cannot
+    afford its share, the packet drops, nothing is deducted, and the
+    offenders are reported as underpowered (the caller marks them dead at
+    round end). Nodes left below the death threshold are marked dead here.
     """
-    nodes = []
-    for node_id in route.path:
-        node = field.nodes[node_id]
+    nodes = [field.nodes[node_id] for node_id in route.path]
+    underpowered = []
+    for node, cost in zip(nodes, route.costs):
         if not node.alive:
-            raise ValueError(f"stale route: node {node_id} is dead")
-        nodes.append(node)
-    costs = []
-    for idx, node in enumerate(nodes):
-        next_pos = nodes[idx + 1].pos if idx + 1 < len(nodes) else route.sink_pos
-        cost = tx_energy(model, math.dist(node.pos, next_pos))
-        if idx > 0:
-            cost += rx_energy(model)
-        costs.append(cost)
-    underpowered = tuple(n.id for n, c in zip(nodes, costs) if n.energy < c)
+            raise ValueError(f"stale route: node {node.id} is dead")
+        if node.energy < cost:
+            underpowered.append(node.id)
     if underpowered:
-        return DeliveryRecord(0.0, False, (), underpowered)
+        return DeliveryRecord(0.0, False, (), tuple(underpowered))
+    threshold = rx_energy(model)  # dead once it cannot afford receiving a packet
     total = 0.0
-    for node, cost in zip(nodes, costs):
+    died = []
+    for node, cost in zip(nodes, route.costs):
         node.energy -= cost
         total += cost
-    threshold = rx_energy(model)  # dead once it cannot afford receiving a packet
-    died = []
-    for node in nodes:
-        if node.alive and node.energy < threshold:
+        if node.energy < threshold:
             node.alive = False
             died.append(node.id)
     return DeliveryRecord(total, True, tuple(died), ())

@@ -14,6 +14,7 @@ import pytest
 
 from simoco import (
     Position,
+    RadioEnergyModel,
     ScenarioConfig,
     build_graph,
     cnp_initial_sink_position,
@@ -218,11 +219,11 @@ def test_criterion_9_route_optimality_oracle():
         pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
         field = make_field(pts, comm_range=rng.uniform(15, 80), side=side)
         sink = Position(rng.uniform(0, side), rng.uniform(0, side))
-        graph = build_graph(field, whole_field_partition(field))
+        graph = build_graph(field, whole_field_partition(field), RadioEnergyModel())
         oracle = floyd_warshall_hops(graph, sink)
         dist = sink_distance_field(graph, sink)
         for source in sorted(graph.adjacency):
-            route = min_hop_route(graph, source, sink, dist)
+            route = min_hop_route(graph, source, dist)
             expected = oracle[source][SINK]
             if route is None:
                 assert expected == float("inf")

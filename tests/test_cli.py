@@ -267,10 +267,25 @@ class TestExitCodes:
         assert main(["run", "--traffic", "random_sources:few"]) == 1
 
     def test_runtime_error_exits_two(self, capsys):
+        # a writable-looking output that fails on write: a run-time I/O error
         code = main(["run", "--nodes", "4", "--seed", "1", "--rounds", "1",
-                     "-o", "/nonexistent_dir/out.jsonl"])
+                     "-o", "/dev/full"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["run", "matrix", "tour"])
+    @pytest.mark.parametrize("output", ["missing/out", "."], ids=["missing-dir", "directory"])
+    def test_bad_output_exits_one_before_any_run(
+        self, subcommand, output, captured_configs, tmp_path, capsys
+    ):
+        argv = [subcommand, "-o", str(tmp_path / output)]
+        if subcommand == "matrix":
+            argv += ["--sizes", "8", "--seeds", "1"]
+        # a command that got as far as running would hit the capture and exit 2
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert captured_configs == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

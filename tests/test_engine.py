@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+import simoco.engine as engine
 from simoco import (
     ScenarioConfig,
     compute_report,
@@ -180,6 +181,27 @@ class TestRunScenario:
         trace = run_scenario(small(n=40, seed=2))
         drops = [d for rec in trace.rounds for d in rec.deliveries if not d.delivered]
         assert all(d.energy == 0.0 for d in drops)
+
+    @pytest.mark.parametrize("config", [
+        # static, 48 rounds: multi-hop routes, drops and deaths
+        ScenarioConfig(n=100, seed=1, initial_energy=0.005, max_rounds=100),
+        small(mode="mobile", n=40, seed=1, max_rounds=200),
+    ], ids=["static", "mobile"])
+    def test_one_route_and_one_charge_per_delivery_record(self, config, monkeypatch):
+        calls = {"min_hop_route": 0, "deliver_packet": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(engine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        trace = run_scenario(config)
+        deliveries = [d for rec in trace.rounds for d in rec.deliveries]
+        assert calls == {"min_hop_route": len(deliveries), "deliver_packet": len(deliveries)}
+        if config.mode == "static":
+            assert max(d.hop_count for d in deliveries) > 1
+            assert not all(d.delivered for d in deliveries)
+            assert any(rec.deaths for rec in trace.rounds)
 
 
 class TestTraceExport:

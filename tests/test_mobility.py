@@ -93,14 +93,14 @@ class TestGenerateTour:
     def test_hand_traced_two_step_tour(self):
         tour = tour_for([(40, 0), (60, 0), (100, 0)], (0, 0))
         assert tour.points == (Position(45.0, 0.0), Position(90.0, 0.0))
-        assert tour.step_count == 2
+        assert len(tour.points) == 2
         assert tour.initial == Position(0.0, 0.0)
         assert tour.cycle() == (Position(0.0, 0.0), Position(45.0, 0.0), Position(90.0, 0.0))
 
     def test_empty_buffer_keeps_sink_home(self):
         tour = tour_for([(10, 0), (0, 20)], (0, 0))
         assert tour.points == ()
-        assert tour.step_count == 0
+        assert len(tour.points) == 0
 
     def test_single_node_within_two_steps(self):
         tour = tour_for([(80, 0)], (0, 0))
@@ -140,7 +140,7 @@ class TestGenerateTour:
             buf = build_coverage_buffer(field, part, placement.position)
             bound = len(buf) * math.ceil(field.side * math.sqrt(2) / r)
             tour = generate_tour(field, part, placement)
-            assert tour.step_count <= bound
+            assert len(tour.points) <= bound
 
 
 class TestTourExport:

@@ -21,66 +21,66 @@ MODEL = RadioEnergyModel(e_elec=50e-9, e_amp=100e-12, packet_bits=2000)
 
 def graph_for(points, sink_pos, comm_range=45.0):
     field = make_field(points, comm_range=comm_range, side=500)
-    return field, build_graph(field, whole_field_partition(field)), Position(*sink_pos)
+    return field, build_graph(field, whole_field_partition(field), MODEL), Position(*sink_pos)
 
 
 class TestBuildGraph:
     def test_path_topology(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        assert g.adjacency == {0: {1}, 1: {0, 2}, 2: {1}}
-        assert sink_distance_field(g, sink) == {2: 1, 1: 2, 0: 3}
+        assert {u: set(vs) for u, vs in g.adjacency.items()} == {0: {1}, 1: {0, 2}, 2: {1}}
+        assert sink_distance_field(g, sink).hops == {2: 1, 1: 2, 0: 3}
 
     def test_all_dead_leaves_sink_only(self):
         field = make_field([(0, 0), (10, 0)], side=100)
         for node in field.nodes:
             node.alive = False
-        g = build_graph(field, whole_field_partition(field))
+        g = build_graph(field, whole_field_partition(field), MODEL)
         assert g.adjacency == {}
-        assert sink_distance_field(g, Position(0, 0)) == {}
+        assert sink_distance_field(g, Position(0, 0)).hops == {}
 
     def test_coincident_nodes_adjacent(self):
         _, g, _ = graph_for([(5, 5), (5, 5)], (200, 200))
-        assert g.adjacency[0] == {1}
-        assert g.adjacency[1] == {0}
+        assert g.adjacency[0].keys() == {1}
+        assert g.adjacency[1].keys() == {0}
 
 
 class TestMinHopRoute:
     def test_forced_three_hop_path(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         assert route.path == (0, 1, 2)
         assert route.hop_count == 3
 
     def test_direct_hop(self):
         _, g, sink = graph_for([(10, 0)], (0, 0))
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         assert route.path == (0,)
         assert route.hop_count == 1
 
     def test_disconnected_source_unreachable(self):
         _, g, sink = graph_for([(0, 0), (300, 300)], (310, 300))
-        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)) is None
+        assert min_hop_route(g, 0, sink_distance_field(g, sink)) is None
 
     def test_dead_or_unknown_source_rejected(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
         with pytest.raises(ValueError):
-            min_hop_route(g, 99, sink, sink_distance_field(g, sink))
+            min_hop_route(g, 99, sink_distance_field(g, sink))
         field.nodes[0].alive = False
         with pytest.raises(ValueError):
-            min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+            min_hop_route(g, 0, sink_distance_field(g, sink))
 
     def test_energy_tie_break_prefers_higher_residual(self):
         # two equal-hop relays; the richer one carries the packet
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 0.2
         field.nodes[2].energy = 0.3
-        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 2)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 2)
         field.nodes[1].energy = 0.5
-        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 1)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 1)
 
     def test_equal_energy_tie_break_prefers_lower_id(self):
         _, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
-        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 1)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 1)
 
     def test_hop_counts_match_exhaustive_search(self):
         rng = random.Random(2024)
@@ -90,11 +90,11 @@ class TestMinHopRoute:
             pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
             field = make_field(pts, comm_range=rng.uniform(20, 80), side=side)
             sink = Position(rng.uniform(0, side), rng.uniform(0, side))
-            g = build_graph(field, whole_field_partition(field))
+            g = build_graph(field, whole_field_partition(field), MODEL)
             oracle = floyd_warshall_hops(g, sink)
             dist = sink_distance_field(g, sink)
             for source in sorted(g.adjacency):
-                route = min_hop_route(g, source, sink, dist)
+                route = min_hop_route(g, source, dist)
                 expected = oracle[source][SINK]
                 if route is None:
                     assert expected == float("inf")
@@ -133,7 +133,7 @@ class TestRadioEnergy:
 class TestDeliverPacket:
     def test_single_hop_sink_receives_free(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         record = deliver_packet(field, MODEL, route)
         assert record.delivered
         assert route.hop_count == 1
@@ -142,7 +142,7 @@ class TestDeliverPacket:
 
     def test_relay_pays_rx_plus_tx(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         record = deliver_packet(field, MODEL, route)
         assert route.hop_count == 2
         assert record.total_energy == pytest.approx(3.4e-4, rel=1e-12)
@@ -152,7 +152,7 @@ class TestDeliverPacket:
     def test_exact_exhaustion_marks_dead(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
         field.nodes[0].energy = tx_energy(MODEL, 10.0)
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         record = deliver_packet(field, MODEL, route)
         assert record.delivered
         assert field.nodes[0].energy == 0.0
@@ -161,7 +161,7 @@ class TestDeliverPacket:
 
     def test_stale_route_rejected(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         field.nodes[1].alive = False
         with pytest.raises(ValueError, match="stale route"):
             deliver_packet(field, MODEL, route)
@@ -169,7 +169,7 @@ class TestDeliverPacket:
     def test_insufficient_energy_drops_packet_without_deduction(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
         field.nodes[1].energy = 1.5e-4  # relay needs rx + tx ~ 2.2e-4
-        route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
         record = deliver_packet(field, MODEL, route)
         assert not record.delivered
         assert record.total_energy == 0.0
@@ -182,13 +182,13 @@ class TestDeliverPacket:
         rng = random.Random(11)
         field = generate_network(30, 200, 100, 45, 12, 0.5)
         part = quadrant_partition(field)[3]
-        g = build_graph(field, part)
+        g = build_graph(field, part, MODEL)
         spent = 0.0
         before = sum(node.energy for node in field.nodes)
         sink = Position(150, 150)
         dist = sink_distance_field(g, sink)
         for source in sorted(g.adjacency):
-            route = min_hop_route(g, source, sink, dist)
+            route = min_hop_route(g, source, dist)
             if route is None:
                 continue
             record = deliver_packet(field, MODEL, route)
@@ -203,7 +203,7 @@ class TestDeliverPacket:
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 6.0e-4
         field.nodes[2].energy = 5.0e-4
-        first_route = min_hop_route(g, 0, sink, sink_distance_field(g, sink))
+        first_route = min_hop_route(g, 0, sink_distance_field(g, sink))
         assert first_route.path == (0, 1)
         first = deliver_packet(field, MODEL, first_route)
         assert first.delivered
@@ -212,4 +212,4 @@ class TestDeliverPacket:
         from simoco.routing import remove_node
 
         remove_node(g, 1)
-        assert min_hop_route(g, 0, sink, sink_distance_field(g, sink)).path == (0, 2)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 2)
