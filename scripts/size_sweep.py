@@ -9,7 +9,6 @@ per-run table as CSV.
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 from simoco import ScenarioConfig, emit_csv, mean_over_seeds, run_experiment_matrix
 from simoco.cli import ConfigError, parse_int_list
@@ -29,17 +28,15 @@ def main() -> int:
 
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")
-    try:  # every size must be valid before any cell runs
-        sizes = parse_int_list(args.sizes, "--sizes")
-        base = ScenarioConfig(base_side=200.0, base_n=50, comm_range=45.0, initial_energy=0.5)
-        for size in sizes:
-            replace(base, n=size)
-    except (ConfigError, ValueError) as exc:
-        parser.error(str(exc))
+    base = ScenarioConfig(base_side=200.0, base_n=50, comm_range=45.0, initial_energy=0.5)
     seeds = list(range(1, args.seeds + 1))
 
     start = time.perf_counter()
-    rows = run_experiment_matrix(base, sizes=sizes, seeds=seeds)
+    try:  # the matrix checks every size before any cell runs
+        sizes = parse_int_list(args.sizes, "--sizes")
+        rows = run_experiment_matrix(base, sizes=sizes, seeds=seeds)
+    except (ConfigError, ValueError) as exc:
+        parser.error(str(exc))
     print(f"{len(rows)} runs in {time.perf_counter() - start:.1f}s")
 
     print(f"{'n':>6}{'static first death':>22}{'mobile first death':>22}")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from .engine import MODES, ScenarioConfig, deploy, run_scenario, trace_lines
-from .metrics import emit_csv, resolve_workers, run_experiment_matrix
+from .metrics import emit_csv, run_experiment_matrix
 from .mobility import generate_tour, tour_export_lines
 
 
@@ -36,7 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_CONFIG_FIELD_TYPES = get_type_hints(ScenarioConfig)
+# field name -> the type its config-file value parses as (Optional[int] as int)
+_CONFIG_FIELD_TYPES = {name: (get_args(hint) or (hint,))[0]
+                       for name, hint in get_type_hints(ScenarioConfig).items()}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -65,20 +66,6 @@ def _parse_config_file(path: str) -> dict:
     return overrides
 
 
-def _parse_traffic(value: str) -> dict:
-    """--traffic VALUE where VALUE is all_nodes_each_round or
-    random_sources[:COUNT]; only random_sources takes a count."""
-    name, colon, count = value.partition(":")
-    if not colon:
-        return {"traffic": name}
-    if name != "random_sources":
-        raise ConfigError(f"--traffic {value!r}: only random_sources takes a count")
-    try:
-        return {"traffic": name, "sources_per_round": int(count)}
-    except ValueError as exc:
-        raise ConfigError(f"--traffic count must be an integer, got {count!r}") from exc
-
-
 def parse_int_list(value: str, flag: str) -> list[int]:
     """Comma-separated integers; an empty or repeated entry is an error."""
     try:
@@ -104,8 +91,7 @@ def _parse_seeds(value: str) -> list[int]:
 
 
 def _build_parser() -> _Parser:
-    """Each scenario flag's dest is the ScenarioConfig field it sets, except
-    --traffic, whose spec _parse_traffic splits into two fields."""
+    """Each scenario flag's dest is the ScenarioConfig field it sets."""
     parser = _Parser(prog="simoco", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
     run = subs.add_parser("run", help="simulate one scenario and export its trace")
@@ -126,8 +112,8 @@ def _build_parser() -> _Parser:
         sub.add_argument("--energy", type=float, metavar="J", dest="initial_energy",
                          help="initial node energy in joules")
         sub.add_argument("--packet-bits", type=int, metavar="K", help="packet size in bits")
-        sub.add_argument("--traffic", metavar="SPEC", dest="traffic_spec",
-                         help="all_nodes_each_round or random_sources[:COUNT]")
+        sub.add_argument("--sources", type=int, metavar="K", dest="sources_per_round",
+                         help="random sources per round (default: every alive node)")
     run.add_argument("--mode", choices=MODES, help="sink mode")
     matrix.add_argument("--sizes", default="50,100,150,200,250,300", metavar="LIST",
                         help="comma-separated node counts (default %(default)s)")
@@ -144,8 +130,6 @@ def _build_config(args: argparse.Namespace, **defaults) -> ScenarioConfig:
         settings.update(_parse_config_file(args.config))
     settings.update((key, value) for key, value in parsed.items()
                     if key in _CONFIG_FIELD_TYPES and value is not None)
-    if parsed.get("traffic_spec") is not None:
-        settings.update(_parse_traffic(parsed["traffic_spec"]))
     try:
         return ScenarioConfig(**settings)
     except (TypeError, ValueError) as exc:
@@ -173,19 +157,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     base = _build_config(args, base_n=50)
     sizes = parse_int_list(args.sizes, "--sizes")
     seeds = _parse_seeds(args.seeds)
-    try:  # every size and the worker count must be valid before any cell runs
-        for size in sizes:
-            replace(base, n=size)
-        workers = resolve_workers()
+    try:  # every size and the worker count are checked before any cell runs
+        rows = run_experiment_matrix(base, sizes, seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = run_experiment_matrix(base, sizes, seeds, max_workers=workers)
-    for row in rows:
-        if row.error is not None:
-            print(f"cell (n={row.size}, {row.mode}, seed {row.seed}) failed: {row.error}",
-                  file=sys.stderr)
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        print(f"cell (n={row.size}, {row.mode}, seed {row.seed}) failed: {row.error}",
+              file=sys.stderr)
     _write_output(args, emit_csv(rows))
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_tour(args: argparse.Namespace) -> int:

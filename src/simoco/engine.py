@@ -1,13 +1,15 @@
 """Round-based simulation of static-sink and mobile-sink (SiMoCo) scenarios.
 
-Each round every traffic source generates one packet. A static sink sits at
-its partition's CNP placement forever, so every source routes its packet to
-that position the same round, multi-hop where needed. A mobile sink cycles
-through the sojourn tour one position per round (initial -> points ->
-initial -> ...) and collects on arrival: a node hands over its accumulated
-packets in the round the sink sojourns at the tour position serving it,
-which by the tour's coverage guarantee is a single-hop exchange. Static
-mode is exactly the mobile machinery with a one-position cycle.
+Each round every traffic source generates one packet: every alive node, or
+with `sources_per_round` set, that many sampled alive nodes. A static sink
+sits at its partition's CNP placement forever, so every source routes its
+packet to that position the same round, multi-hop where needed. A mobile
+sink cycles through the sojourn tour one position per round (initial ->
+points -> initial -> ...) and collects on arrival: a node hands over its
+accumulated packets in the round the sink sojourns at the tour position
+serving it, which by the tour's coverage guarantee is a single-hop
+exchange. Static mode is exactly the mobile machinery with a one-position
+cycle.
 
 All randomness flows from the scenario seed: deployment uses
 random.Random(seed), traffic sampling uses random.Random(f"traffic:{seed}").
@@ -42,7 +44,6 @@ from .routing import (
 )
 
 MODES = ("static", "mobile")
-TRAFFIC_MODES = ("all_nodes_each_round", "random_sources")
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,18 @@ class ScenarioConfig:
     packet_bits: int = 2000
     seed: int = 1
     max_rounds: int = 10000
-    traffic: str = "all_nodes_each_round"
-    sources_per_round: int = 10
+    sources_per_round: Optional[int] = None  # None: every alive node sends
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.traffic not in TRAFFIC_MODES:
-            raise ValueError(f"traffic must be one of {TRAFFIC_MODES}, got {self.traffic!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.base_n < 1:
             raise ValueError(f"base_n must be >= 1, got {self.base_n}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.sources_per_round < 1:
+        if self.sources_per_round is not None and self.sources_per_round < 1:
             raise ValueError(f"sources_per_round must be >= 1, got {self.sources_per_round}")
         for name in ("base_side", "comm_range", "initial_energy", "e_elec", "e_amp"):
             value = getattr(self, name)
@@ -126,16 +124,13 @@ class _PartitionState:
         self.cycle = cycle
         # Each member is served at the cycle position nearest to it, preferring
         # positions that cover it (guaranteed to exist by tour coverage);
-        # remaining ties break on the earliest position index.
+        # remaining ties break on the earliest position index, which min keeps.
         r = field.comm_range
         groups: list[list[int]] = [[] for _ in cycle]
         for node_id in partition.member_ids:
             pos = field.nodes[node_id].pos
-            best = min(
-                range(len(cycle)),
-                key=lambda j: (math.dist(pos, cycle[j]) > r, math.dist(pos, cycle[j]), j),
-            )
-            groups[best].append(node_id)
+            gap = [math.dist(pos, q) for q in cycle]
+            groups[min(range(len(cycle)), key=lambda j: (gap[j] > r, gap[j]))].append(node_id)
         self.assigned_members = [tuple(g) for g in groups]
         self.graph = build_graph(field, partition, model)
         self.dist_fields: dict[int, SinkField] = {}
@@ -223,7 +218,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             break
 
         sources = (
-            alive_ids if config.traffic == "all_nodes_each_round"
+            alive_ids if config.sources_per_round is None
             else traffic_rng.sample(alive_ids, min(config.sources_per_round, len(alive_ids)))
         )
         for node_id in sources:

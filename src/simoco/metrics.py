@@ -97,9 +97,9 @@ def _run_cell(config: ScenarioConfig) -> MatrixRow:
     size, mode, seed = config.n, config.mode, config.seed
     try:
         trace = run_scenario(config)
+        report = compute_report(trace)
     except Exception as exc:  # failed cell is reported, not fatal
         return MatrixRow(size, mode, seed, None, error=f"{type(exc).__name__}: {exc}")
-    report = compute_report(trace)
     delivered = report.delivered_energy
     drained = sum(config.initial_energy - node.energy for node in trace.field.nodes)
     scale = max(abs(delivered), abs(drained), 1e-30)
@@ -134,7 +134,8 @@ def run_experiment_matrix(
 ) -> list[MatrixRow]:
     """Run every (size, mode, seed) cell, in parallel across processes when
     more than one worker is available. Rows come back sorted by
-    (size, mode, seed) regardless of completion order."""
+    (size, mode, seed) regardless of completion order. Every ValueError is
+    raised before any cell runs; a cell that fails later reports its `error`."""
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if not seeds:

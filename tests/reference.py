@@ -103,7 +103,7 @@ def run_reference(config):
         alive = [node.id for node in field.nodes if node.alive]
         if not alive:
             break
-        if config.traffic == "all_nodes_each_round":
+        if config.sources_per_round is None:
             sources = alive
         else:
             sources = rng.sample(alive, min(config.sources_per_round, len(alive)))

@@ -59,8 +59,8 @@ def scaling_batch():
 def hop_batch():
     """Criteria 4, 8: randomly generated events, ten per round."""
     base = ScenarioConfig(n=100, base_side=200.0, base_n=100, comm_range=45.0,
-                          initial_energy=0.5, traffic="random_sources",
-                          sources_per_round=10, max_rounds=2000)
+                          initial_energy=0.5, sources_per_round=10,
+                          max_rounds=2000)
     return run_experiment_matrix(base, sizes=[100], seeds=SEEDS)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import simoco.metrics as metrics_module
 from simoco import (
     ScenarioConfig,
     cnp_initial_sink_position,
@@ -46,11 +47,10 @@ class TestRun:
     def test_traffic_flag_with_count(self, tmp_path):
         out = tmp_path / "t.jsonl"
         code = main(["run", "--nodes", "12", "--seed", "2", "--rounds", "50",
-                     "--energy", "0.01", "--traffic", "random_sources:3",
-                     "-o", str(out)])
+                     "--energy", "0.01", "--sources", "3", "-o", str(out)])
         assert code == 0
         config = ScenarioConfig(n=12, seed=2, max_rounds=50, initial_energy=0.01,
-                                traffic="random_sources", sources_per_round=3)
+                                sources_per_round=3)
         assert read(out) == "\n".join(trace_lines(run_scenario(config))) + "\n"
 
 
@@ -73,6 +73,24 @@ class TestMatrix:
         assert len(lines) == 1 + 4  # header + 1 size x 2 modes x 2 seeds
         assert lines[1].startswith("8,mobile,3,")
         assert lines[2].startswith("8,mobile,9,")
+
+    def test_failed_cell_exits_two_after_writing_csv(self, tmp_path, monkeypatch, capsys):
+        real = metrics_module.run_scenario
+
+        def static_only(config):
+            if config.mode == "mobile":
+                raise RuntimeError("boom")
+            return real(config)
+
+        monkeypatch.setattr(metrics_module, "run_scenario", static_only)
+        out = tmp_path / "results.csv"
+        code = main(["matrix", "--sizes", "8", "--seeds", "1", "--energy", "0.004",
+                     "--rounds", "100", "-o", str(out)])
+        assert code == 2
+        assert "cell (n=8, mobile, seed 1) failed: RuntimeError: boom" in capsys.readouterr().err
+        lines = read(out).splitlines()
+        assert lines[1] == "8,mobile,1,,,,,"
+        assert lines[2].startswith("8,static,1,") and lines[2] != "8,static,1,,,,,"
 
 
 class TestTour:
@@ -129,21 +147,20 @@ class TestConfigFileAndOverrides:
 
 
 FLAG_FIELDS = {
-    "--config": (None, {"e_elec": 4e-08}),
+    "--config": (None, {"e_elec": 4e-08, "sources_per_round": 5}),
     "--range": (["--range", "30"], {"comm_range": 30.0}),
     "--nodes": (["--nodes", "7"], {"n": 7}),
     "--seed": (["--seed", "9"], {"seed": 9}),
     "--rounds": (["--rounds", "77"], {"max_rounds": 77}),
     "--energy": (["--energy", "0.3"], {"initial_energy": 0.3}),
     "--packet-bits": (["--packet-bits", "1000"], {"packet_bits": 1000}),
-    "--traffic": (["--traffic", "random_sources:3"],
-                  {"traffic": "random_sources", "sources_per_round": 3}),
+    "--sources": (["--sources", "3"], {"sources_per_round": 3}),
     "--mode": (["--mode", "mobile"], {"mode": "mobile"}),
 }
 SUBCOMMAND_FLAGS = {
     "run": ["--config", "--range", "--nodes", "--seed", "--rounds", "--energy",
-            "--packet-bits", "--traffic", "--mode"],
-    "matrix": ["--config", "--range", "--rounds", "--energy", "--packet-bits", "--traffic"],
+            "--packet-bits", "--sources", "--mode"],
+    "matrix": ["--config", "--range", "--rounds", "--energy", "--packet-bits", "--sources"],
     "tour": ["--config", "--range", "--nodes", "--seed"],
 }
 SUBCOMMAND_DEFAULTS = {"run": {}, "matrix": {"base_n": 50}, "tour": {}}
@@ -217,18 +234,17 @@ class TestExitCodes:
         (["matrix", "--sizes", "8", "--seeds", "1", "--energy", "nan"], None),
         (["matrix", "--sizes", "0", "--seeds", "1"], None),
         (["run", "--mode", "mobile", "--range", "1e-6"], None),
-        (["run", "--traffic", "all:5"], None),
+        (["run", "--sources", "0"], None),
         (["matrix", "--sizes", "8", "--seeds", "1,1"], None),
         (["matrix", "--sizes", "8,8", "--seeds", "1"], None),
-        (["run", "--traffic", "all:"], None),
-        (["run", "--traffic", "random:"], None),
+        (["run"], "traffic = random_sources\n"),
         (["matrix", "--sizes", "8,,12", "--seeds", "1"], None),
         (["matrix", "--sizes", "8", "--seeds", "2,"], None),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
             "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile",
-            "traffic-all-count", "matrix-seed-repeated", "matrix-size-repeated",
-            "traffic-all-empty", "traffic-random-empty", "matrix-size-empty-entry",
+            "sources-0", "matrix-seed-repeated", "matrix-size-repeated",
+            "traffic-config-key-gone", "matrix-size-empty-entry",
             "matrix-seed-trailing-comma"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
@@ -263,8 +279,14 @@ class TestExitCodes:
         assert main(["tour", "--nodes", "20", "--range", "1e-6"]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_traffic_count_exits_one(self, capsys):
-        assert main(["run", "--traffic", "random_sources:few"]) == 1
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--sources", "few"], "argument --sources: invalid int value"),
+        (["run", "--traffic", "random_sources:3"], "unrecognized arguments: --traffic"),
+    ], ids=["sources-not-int", "traffic-flag-gone"])
+    def test_usage_error_exits_one(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_error_exits_two(self, capsys):
         # a writable-looking output that fails on write: a run-time I/O error

@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -31,9 +32,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(n=0)
         with pytest.raises(ValueError):
-            ScenarioConfig(traffic="bursty")
-        with pytest.raises(ValueError):
-            ScenarioConfig(traffic="random_sources", sources_per_round=0)
+            ScenarioConfig(sources_per_round=0)
+        with pytest.raises(TypeError):  # traffic is sources_per_round, nothing else
+            ScenarioConfig(traffic="random_sources")
         with pytest.raises(ValueError):
             ScenarioConfig(initial_energy=0)
 
@@ -90,8 +91,19 @@ class TestRunScenario:
         assert trace_lines(a) == trace_lines(b)
 
     def test_random_sources_deterministic(self):
-        cfg = small(traffic="random_sources", sources_per_round=4, max_rounds=60)
+        cfg = small(sources_per_round=4, max_rounds=60)
         assert trace_lines(run_scenario(cfg)) == trace_lines(run_scenario(cfg))
+
+    @pytest.mark.parametrize("mode", ["static", "mobile"])
+    def test_sampling_every_alive_node_equals_unset(self, mode):
+        # a sample of every alive node differs only in the order backlogs
+        # grow, which no output shows
+        for seed in (1, 2, 3):
+            config = small(mode, n=20, seed=seed, max_rounds=300)
+            expected = trace_lines(run_scenario(config))
+            for count in (config.n, 10**6):
+                sampled = run_scenario(replace(config, sources_per_round=count))
+                assert trace_lines(sampled) == expected
 
     def test_empty_buffers_make_mobile_identical_to_static(self):
         # n=8 under default scaling gives a 56.6 m field whose quadrants fit

@@ -15,12 +15,13 @@ from simoco import ScenarioConfig, parse_trace_lines, report_from_export
 from simoco.cli import main
 
 CASES = {
-    f"run-{mode}-{traffic.split(':')[0]}-s{seed}": [
-        "run", "--mode", mode, "--seed", str(seed), "--traffic", traffic,
+    f"run-{mode}-{traffic}-s{seed}": [
+        "run", "--mode", mode, "--seed", str(seed), *sources,
         "--nodes", "30", "--range", "25", "--energy", "0.01", "--rounds", "400",
     ]
     for mode in ("static", "mobile")
-    for traffic in ("all_nodes_each_round", "random_sources:5")
+    for traffic, sources in (("all_nodes_each_round", []),
+                             ("random_sources", ["--sources", "5"]))
     for seed in (1, 2)
 }
 CASES["matrix"] = ["matrix", "--sizes", "12,20", "--seeds", "2", "--range", "30",
@@ -71,12 +72,12 @@ def cli_output(argv) -> bytes:
 def export_report(argv):
     """The report rebuilt from a `run` trace plus the config it came from."""
     flags = dict(zip(argv[1::2], argv[2::2]))
-    traffic, _, count = flags["--traffic"].partition(":")
+    sources = flags.get("--sources")
     config = ScenarioConfig(
         mode=flags["--mode"], n=int(flags["--nodes"]), seed=int(flags["--seed"]),
         comm_range=float(flags["--range"]), initial_energy=float(flags["--energy"]),
-        max_rounds=int(flags["--rounds"]), traffic=traffic,
-        sources_per_round=int(count) if count else ScenarioConfig.sources_per_round,
+        max_rounds=int(flags["--rounds"]),
+        sources_per_round=int(sources) if sources is not None else None,
     )
     return report_from_export(config, parse_trace_lines(cli_output(argv).decode().splitlines()))
 

@@ -158,6 +158,13 @@ class TestExperimentMatrix:
         with pytest.raises(ValueError):
             run_experiment_matrix(base, sizes=[50], seeds=[])
 
+    def test_bad_size_raises_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics_module, "run_scenario", calls.append)
+        with pytest.raises(ValueError):
+            run_experiment_matrix(ScenarioConfig(), sizes=[8, 0], seeds=[1], max_workers=1)
+        assert calls == []
+
     def test_parallel_equals_sequential(self):
         base = ScenarioConfig(n=10, base_n=10, initial_energy=0.002, max_rounds=150)
         seq = run_experiment_matrix(base, sizes=[10, 20], seeds=[1, 2], max_workers=1)

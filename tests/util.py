@@ -5,7 +5,7 @@ import math
 from hypothesis import strategies as st
 
 from simoco import NetworkField, Partition, Position, ScenarioConfig, SensorNode
-from simoco.engine import MODES, TRAFFIC_MODES
+from simoco.engine import MODES
 from simoco.partitioning import Rect
 
 
@@ -18,8 +18,9 @@ def make_field(points, comm_range=45.0, side=None, energy=0.5) -> NetworkField:
 
 
 def scenario_strategy(**overrides):
-    """Small random scenarios, both modes and traffic kinds; a keyword
-    replaces the strategy of that ScenarioConfig field."""
+    """Small random scenarios in both modes, with every alive node or a few
+    random sources sending each round; a keyword replaces the strategy of
+    that ScenarioConfig field."""
     fields = dict(
         mode=st.sampled_from(MODES),
         n=st.integers(min_value=1, max_value=40),
@@ -27,8 +28,7 @@ def scenario_strategy(**overrides):
         initial_energy=st.floats(min_value=0.002, max_value=0.05),
         seed=st.integers(min_value=0, max_value=2**32),
         max_rounds=st.integers(min_value=1, max_value=200),
-        traffic=st.sampled_from(TRAFFIC_MODES),
-        sources_per_round=st.integers(min_value=1, max_value=10),
+        sources_per_round=st.none() | st.integers(min_value=1, max_value=10),
     )
     return st.builds(ScenarioConfig, **{**fields, **overrides})
 
