@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error (flags, config file, values),
 2 runtime error. Scenario settings resolve as dataclass defaults, then
 config file entries, then flags; config files are flat `key = value` lines
-mirroring ScenarioConfig field names, and unknown keys are errors.
+mirroring ScenarioConfig field names, and unknown keys are errors, as are
+the per-cell keys n, mode and seed given to `matrix`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 from .engine import MODES, ScenarioConfig, deploy, run_scenario, trace_lines
-from .metrics import emit_csv, run_experiment_matrix
+from .metrics import emit_csv, run_experiment_matrix, summary_table
 from .mobility import generate_tour, tour_export_lines
 
 
@@ -78,16 +79,18 @@ def parse_int_list(value: str, flag: str) -> list[int]:
 
 
 def _parse_seeds(value: str) -> list[int]:
-    """`--seeds 10` means seeds 1..10; `--seeds 3,7,9` is an explicit list."""
+    """`--seeds 10` means seeds 1..10, `--seeds 4..7` seeds 4 to 7 inclusive,
+    and `--seeds 3,7,9` is an explicit list."""
     if "," in value:
         return parse_int_list(value, "--seeds")
+    first, dots, last = value.partition("..")
     try:
-        count = int(value)
+        low, high = (int(first), int(last)) if dots else (1, int(value))
     except ValueError as exc:
-        raise ConfigError(f"--seeds expects a count or comma list, got {value!r}") from exc
-    if count < 1:
-        raise ConfigError(f"--seeds count must be >= 1, got {count}")
-    return list(range(1, count + 1))
+        raise ConfigError(f"--seeds expects a count, A..B or comma list, got {value!r}") from exc
+    if high < low:
+        raise ConfigError(f"--seeds {value!r} names no seed")
+    return list(range(low, high + 1))
 
 
 def _build_parser() -> _Parser:
@@ -117,8 +120,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", choices=MODES, help="sink mode")
     matrix.add_argument("--sizes", default="50,100,150,200,250,300", metavar="LIST",
                         help="comma-separated node counts (default %(default)s)")
-    matrix.add_argument("--seeds", default="10", metavar="N|LIST",
-                        help="seed count (1..N) or comma-separated seeds (default %(default)s)")
+    matrix.add_argument("--seeds", default="10", metavar="N|A..B|LIST",
+                        help="seed count (1..N), range A..B or comma list (default %(default)s)")
     return parser
 
 
@@ -127,7 +130,12 @@ def _build_config(args: argparse.Namespace, **defaults) -> ScenarioConfig:
     parsed = vars(args)
     settings = dict(defaults)
     if args.config:
-        settings.update(_parse_config_file(args.config))
+        from_file = _parse_config_file(args.config)
+        per_cell = sorted(from_file.keys() & {"n", "mode", "seed"})
+        if args.subcommand == "matrix" and per_cell:
+            raise ConfigError(f"{args.config} sets {', '.join(per_cell)}, which matrix sets "
+                              f"per cell: use --sizes and --seeds instead")
+        settings.update(from_file)
     settings.update((key, value) for key, value in parsed.items()
                     if key in _CONFIG_FIELD_TYPES and value is not None)
     try:
@@ -166,6 +174,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         print(f"cell (n={row.size}, {row.mode}, seed {row.seed}) failed: {row.error}",
               file=sys.stderr)
     _write_output(args, emit_csv(rows))
+    sys.stderr.write(summary_table(rows))
     return 2 if failed else 0
 
 

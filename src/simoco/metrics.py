@@ -195,3 +195,30 @@ def mean_over_seeds(
     ]
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
+
+
+_SUMMARY_METRICS = (
+    ("avg_energy_per_packet", "avg energy/packet [J]", ">14.4e"),
+    ("rounds_to_neighbor_death", "rounds to neighbor death", ">14.1f"),
+    ("rounds_to_first_death", "rounds to first death", ">14.1f"),
+    ("avg_hop_count", "avg hop count", ">14.1f"),
+)
+
+
+def summary_table(rows: Sequence[MatrixRow]) -> str:
+    """Seed means per size, a static and a mobile column per metric, then the
+    mobile/static energy ratio. A mean no seed reached, and a ratio missing
+    either mean, print as n/a; a failed cell counts as a seed reaching nothing."""
+    def cell(value, spec):
+        return f"{'n/a':>14}" if value is None else format(value, spec)
+
+    out = [f"{'n':>6}  {'metric':<28}{'static':>14}{'mobile':>14}"]
+    for size in sorted({row.size for row in rows}):
+        means = {attr: [mean_over_seeds(rows, size, mode, attr) for mode in MODES]
+                 for attr, _, _ in _SUMMARY_METRICS}
+        for attr, label, spec in _SUMMARY_METRICS:
+            out.append(f"{size:>6}  {label:<28}" + "".join(cell(m, spec) for m in means[attr]))
+        static, mobile = means["avg_energy_per_packet"]
+        ratio = None if static is None or mobile is None else mobile / static
+        out.append(f"{size:>6}  {'energy ratio mobile/static':<28}{cell(ratio, '>14.3f')}")
+    return "\n".join(out) + "\n"

@@ -24,7 +24,7 @@ from .core import NetworkField, Position
 from .partitioning import Partition
 
 # The sink is a position, so no route or distance field holds this id. Only
-# perfbench/worker.py reads the name, until ROADMAP item 3 removes it there.
+# perfbench/worker.py reads the name, until ROADMAP item 1's benchmark change removes it.
 SINK_ID = -1
 
 

@@ -1,0 +1,82 @@
+"""Mutation check for the fast oracles: the golden digests, the reference
+engine and the engine invariants must each fail on every fault below.
+
+    python tests/mutants.py
+
+Each fault is applied to a fresh copy of `src/`, and the three oracle
+modules run against that copy. The unmutated copy runs first and must pass.
+Prints killed or survived per fault and exits 1 if any fault survives.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLES = ["test_golden.py", "test_reference.py", "test_invariants.py"]
+
+# (fault, file under src/simoco, text that occurs once, its replacement)
+FAULTS = [
+    ("reversed id tie-break in min_hop_route", "routing.py",
+     "energy == best_energy and v < best", "energy == best_energy and v > best"),
+    ("dropped pending death", "engine.py",
+     "pending_deaths.update(record.underpowered)", "pass"),
+    ("SinkField cache kept across a death", "engine.py",
+     "self.dist_fields.clear()", "pass"),
+    ("death threshold <= in place of <", "routing.py",
+     "if node.energy < threshold:", "if node.energy <= threshold:"),
+    ("drop that keeps serving its source", "engine.py",
+     "break  # dropped", "continue  # dropped"),
+    ("underpowered node charged", "routing.py",
+     "if underpowered:", "if underpowered and False:"),
+    ("mobile member served at a non-covering position", "engine.py",
+     "(gap[j] > r, gap[j])", "(gap[j] <= r, gap[j])"),
+]
+
+
+def run_oracles(src: Path, workdir: Path) -> subprocess.CompletedProcess:
+    """Run the oracles with `src` first on the import path; the working
+    directory keeps hypothesis's example database out of the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *(str(ROOT / "tests" / name) for name in ORACLES)]
+    return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
+
+
+def mutant(tmp: Path, fault) -> Path:
+    """A fresh copy of src/ with `fault` applied (None: unmutated)."""
+    src = tmp / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if fault is not None:
+        _, name, old, new = fault
+        path = src / "simoco" / name
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times, not once")
+        path.write_text(text.replace(old, new))
+    return src
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clean = run_oracles(mutant(tmp, None), tmp)
+        if clean.returncode != 0:
+            print(clean.stdout + clean.stderr)
+            print("the oracles fail on the unmutated source; no fault can be judged")
+            return 1
+        survived = 0
+        for fault in FAULTS:
+            killed = run_oracles(mutant(tmp, fault), tmp).returncode != 0
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {fault[0]}", flush=True)
+    print(f"{len(FAULTS) - survived} of {len(FAULTS)} faults killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

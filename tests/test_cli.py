@@ -14,6 +14,7 @@ from simoco import (
     trace_lines,
 )
 from simoco.cli import main
+from simoco.metrics import CSV_HEADER, MatrixRow, MetricsReport, summary_table
 
 RUN_FLAGS = ["run", "--mode", "mobile", "--nodes", "24", "--seed", "5",
              "--energy", "0.02", "--rounds", "2000"]
@@ -26,6 +27,13 @@ def single_worker(monkeypatch):
 
 def read(path):
     return path.read_text()
+
+
+def summary_row(err, size, label):
+    """The values on the `matrix` summary line for `size` and metric `label`."""
+    prefix = [str(size), *label.split()]
+    return next(line.split()[len(prefix):] for line in err.splitlines()
+                if line.split()[:len(prefix)] == prefix)
 
 
 class TestRun:
@@ -55,14 +63,18 @@ class TestRun:
 
 
 class TestMatrix:
-    def test_csv_matches_direct_module_calls(self, tmp_path):
+    def test_csv_matches_direct_module_calls(self, tmp_path, capsys):
+        # the seed-mean summary goes to stderr, so neither -o nor stdout holds it
+        argv = ["matrix", "--sizes", "8,12", "--seeds", "2", "--energy", "0.004",
+                "--rounds", "500"]
         out = tmp_path / "results.csv"
-        code = main(["matrix", "--sizes", "8,12", "--seeds", "2",
-                     "--energy", "0.004", "--rounds", "500", "-o", str(out)])
-        assert code == 0
+        assert main(argv + ["-o", str(out)]) == 0
+        assert main(argv) == 0
+        streams = capsys.readouterr()
         base = ScenarioConfig(base_n=50, initial_energy=0.004, max_rounds=500)
         rows = run_experiment_matrix(base, [8, 12], [1, 2], max_workers=1)
-        assert read(out) == emit_csv(rows)
+        assert read(out) == streams.out == emit_csv(rows)
+        assert streams.err == 2 * summary_table(rows)
 
     def test_seed_list_form(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -73,6 +85,14 @@ class TestMatrix:
         assert len(lines) == 1 + 4  # header + 1 size x 2 modes x 2 seeds
         assert lines[1].startswith("8,mobile,3,")
         assert lines[2].startswith("8,mobile,9,")
+
+    @pytest.mark.parametrize("seeds, expected", [
+        ("7..7", [7]), ("4..6", [4, 5, 6]), ("2", [1, 2]),
+    ])
+    def test_seed_count_and_range_forms(self, seeds, expected, capsys):
+        assert main(["matrix", "--sizes", "8", "--seeds", seeds, "--rounds", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[2]) for row in rows] == expected * 2
 
     def test_failed_cell_exits_two_after_writing_csv(self, tmp_path, monkeypatch, capsys):
         real = metrics_module.run_scenario
@@ -87,10 +107,61 @@ class TestMatrix:
         code = main(["matrix", "--sizes", "8", "--seeds", "1", "--energy", "0.004",
                      "--rounds", "100", "-o", str(out)])
         assert code == 2
-        assert "cell (n=8, mobile, seed 1) failed: RuntimeError: boom" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cell (n=8, mobile, seed 1) failed: RuntimeError: boom" in err
         lines = read(out).splitlines()
         assert lines[1] == "8,mobile,1,,,,,"
         assert lines[2].startswith("8,static,1,") and lines[2] != "8,static,1,,,,,"
+        # the failed mode is left out of the seed means, so its column is n/a
+        for label in ("avg energy/packet [J]", "rounds to first death", "avg hop count"):
+            static, mobile = summary_row(err, 8, label)
+            assert float(static) > 0 and mobile == "n/a"
+        assert summary_row(err, 8, "energy ratio mobile/static") == ["n/a"]
+
+
+class TestMatrixSummary:
+    def test_reached_metrics(self, tmp_path, capsys):
+        # base_n = n keeps the 200 m field of a single-size comparison
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text("base_n = 12\n")
+        out = tmp_path / "runs.csv"
+        argv = ["matrix", "--config", str(cfg), "--sizes", "12", "--seeds", "1",
+                "--energy", "0.05", "-o", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "n/a" not in err
+        assert float(summary_row(err, 12, "energy ratio mobile/static")[0]) > 0
+        assert read(out).startswith(CSV_HEADER + "\n")
+
+    def test_reached_first_death(self, capsys):
+        assert main(["matrix", "--sizes", "8", "--seeds", "1"]) == 0
+        streams = capsys.readouterr()
+        assert "n/a" not in streams.err
+        assert len(summary_row(streams.err, 8, "rounds to first death")) == 2
+        assert len(streams.out.splitlines()) == 1 + 2  # header + both modes
+
+    def test_unreached_lifetime_prints_na(self, capsys):
+        # 100 J per node: no node dies within the 10000-round budget
+        assert main(["matrix", "--sizes", "3", "--seeds", "1", "--energy", "100"]) == 0
+        err = capsys.readouterr().err
+        assert summary_row(err, 3, "rounds to first death") == ["n/a", "n/a"]
+        assert summary_row(err, 3, "rounds to neighbor death") == ["n/a", "n/a"]
+        assert summary_row(err, 3, "avg hop count") == ["1.0", "1.0"]
+
+    def test_unreached_first_death_prints_na(self, capsys):
+        # a 50-round budget ends every run before its first death
+        assert main(["matrix", "--sizes", "8,12", "--seeds", "1", "--rounds", "50"]) == 0
+        err = capsys.readouterr().err
+        assert summary_row(err, 8, "rounds to first death") == ["n/a", "n/a"]
+        assert summary_row(err, 12, "rounds to first death") == ["n/a", "n/a"]
+
+    def test_missing_energy_mean_prints_na_ratio(self):
+        reached = MetricsReport(1e-4, 50, 20, 1.0, 10)
+        nothing_delivered = MetricsReport(None, None, None, None, 0)
+        rows = [MatrixRow(5, "static", 1, reached), MatrixRow(5, "mobile", 1, nothing_delivered)]
+        table = summary_table(rows)
+        assert summary_row(table, 5, "avg energy/packet [J]") == ["1.0000e-04", "n/a"]
+        assert summary_row(table, 5, "energy ratio mobile/static") == ["n/a"]
 
 
 class TestTour:
@@ -240,12 +311,19 @@ class TestExitCodes:
         (["run"], "traffic = random_sources\n"),
         (["matrix", "--sizes", "8,,12", "--seeds", "1"], None),
         (["matrix", "--sizes", "8", "--seeds", "2,"], None),
+        (["matrix", "--sizes", "8", "--seeds", "0"], None),
+        (["matrix", "--sizes", "a", "--seeds", "1"], None),
+        (["matrix", "--sizes", "8", "--seeds", "7..5"], None),
+        (["matrix", "--sizes", "8", "--seeds", "3.."], None),
+        (["matrix", "--sizes", "8", "--seeds", "1..2..3"], None),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
             "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile",
             "sources-0", "matrix-seed-repeated", "matrix-size-repeated",
             "traffic-config-key-gone", "matrix-size-empty-entry",
-            "matrix-seed-trailing-comma"])
+            "matrix-seed-trailing-comma", "matrix-seeds-0", "matrix-size-not-int",
+            "matrix-seed-range-reversed", "matrix-seed-range-open",
+            "matrix-seed-range-malformed"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
         if argv[0] == "run":
@@ -260,10 +338,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, flag", [
         (["matrix", "--sizes", "8", "--seed", "2"], "--seed"),  # matrix takes --seeds
         (["run", "--node", "5"], "--node"),  # run takes --nodes
-    ], ids=["matrix-seed-prefix", "run-nodes-prefix"])
+        (["matrix", "--size", "8", "--seeds", "1"], "--size"),  # matrix takes --sizes
+    ], ids=["matrix-seed-prefix", "run-nodes-prefix", "matrix-size-prefix"])
     def test_flag_prefix_exits_one(self, argv, flag, tmp_path, capsys):
         assert main(argv + ["--rounds", "5", "-o", str(tmp_path / "out")]) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["n = 40", "mode = mobile", "seed = 7"])
+    def test_matrix_rejects_per_cell_config_key(self, line, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["matrix", "--config", str(cfg), "--sizes", "8", "--seeds", "1",
+                "--rounds", "20", "-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "--sizes and --seeds" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["abc", "-1"])

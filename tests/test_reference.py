@@ -18,6 +18,9 @@ tiny = scenario_strategy(
 @given(st.one_of(scenario_strategy(), tiny))
 # static, 48 rounds: about 300 multi-hop routes, 70 drops and 76 deaths
 @example(ScenarioConfig(n=100, seed=1, initial_energy=0.005, max_rounds=100))
+# a lone node sits at its sink (d = 0), so its first packet leaves it at exactly
+# the death threshold, one packet's rx cost: it stays alive until the second
+@example(ScenarioConfig(n=1, initial_energy=2 * 50e-9 * 2000, max_rounds=5))
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_reference(config):
     trace = run_scenario(config)
