@@ -345,6 +345,37 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # the bad arguments once given to the single-size comparison script (a
+    # `matrix` run on a field of base_n = n) and to the size sweep script
+    @pytest.mark.parametrize("argv, config_text, message", [
+        (["--sizes", "100", "--seeds", "0"], "base_n = 100\n", "config error"),
+        (["--sizes", "0", "--seeds", "1"], "base_n = 100\n", "config error"),
+        (["--sizes", "100", "--seeds", "1", "--energy", "nan"], "base_n = 100\n",
+         "config error"),
+        (["--sizes", "8", "--seeds", "0"], None, "config error"),
+        (["--sizes", "a", "--seeds", "1"], None, "config error"),
+        (["--sizes", "0", "--seeds", "1"], None, "config error"),
+        (["--sizes", "8,8", "--seeds", "1"], None, "config error"),
+        (["--size", "6", "--seed", "1"], "base_n = 6\n", "unrecognized arguments: --size"),
+        (["--size", "8", "--seed", "1"], None, "unrecognized arguments: --size"),
+    ], ids=["compare-seeds-0", "compare-nodes-0", "compare-energy-nan", "sweep-seeds-0",
+            "sweep-sizes-not-int", "sweep-sizes-0", "sweep-sizes-repeated",
+            "compare-flag-prefix", "sweep-flag-prefix"])
+    def test_bad_matrix_argument_runs_no_cell(self, argv, config_text, message, tmp_path,
+                                              capsys):
+        argv = ["matrix", *argv, "--rounds", "5"]
+        if config_text is not None:
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(config_text)
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "runs.csv"
+        assert main(argv + ["-o", str(out)]) == 1
+        streams = capsys.readouterr()
+        assert message in streams.err
+        assert "energy ratio" not in streams.err  # no summary: no cell ran
+        assert streams.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["n = 40", "mode = mobile", "seed = 7"])
     def test_matrix_rejects_per_cell_config_key(self, line, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
