@@ -3,20 +3,21 @@
 Exit codes: 0 success, 1 configuration error (flags, config file, values),
 2 runtime error. Scenario settings resolve as dataclass defaults, then
 config file entries, then flags; config files are flat `key = value` lines
-mirroring ScenarioConfig field names, and unknown keys are errors, as are
-the per-cell keys n, mode and seed given to `matrix`.
+mirroring ScenarioConfig field names, and unknown or repeated keys are
+errors, as are the per-cell keys n, mode and seed given to `matrix`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
 
 from .engine import MODES, ScenarioConfig, deploy, run_scenario, trace_lines
 from .metrics import emit_csv, run_experiment_matrix, summary_table
-from .mobility import generate_tour, tour_export_lines
+from .mobility import tour_export_lines
 
 
 class ConfigError(Exception):
@@ -43,7 +44,7 @@ _CONFIG_FIELD_TYPES = {name: (get_args(hint) or (hint,))[0]
 
 def _parse_config_file(path: str) -> dict:
     """Flat `key = value` file; `#` starts a comment; keys must be
-    ScenarioConfig field names."""
+    ScenarioConfig field names, each given at most once."""
     overrides = {}
     try:
         text = Path(path).read_text()
@@ -58,6 +59,8 @@ def _parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
         target = _CONFIG_FIELD_TYPES[key]
         try:
             overrides[key] = target(value)
@@ -179,13 +182,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_tour(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    field, partitions, placements, _ = deploy(config)
-    tours = [
-        generate_tour(field, partition, placement)
-        for partition, placement in zip(partitions, placements)
-        if placement is not None
-    ]
+    # the SiMoCo tours of the sinks that have a placement, whatever the mode
+    setup = deploy(replace(_build_config(args), mode="mobile"))
+    tours = [tour for tour, placement in zip(setup.tours, setup.placements) if placement]
     _write_output(args, "\n".join(tour_export_lines(tours)) + "\n")
     return 0
 

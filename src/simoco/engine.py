@@ -9,7 +9,9 @@ points -> initial -> ...) and collects on arrival: a node hands over its
 accumulated packets in the round the sink sojourns at the tour position
 serving it, which by the tour's coverage guarantee is a single-hop
 exchange. Static mode is exactly the mobile machinery with a one-position
-cycle.
+cycle: every sink has a tour, and a static or idle sink's is its position
+alone. `deploy` returns the setup as a trace with no rounds; `run_scenario`
+deploys and appends the rounds.
 
 All randomness flows from the scenario seed: deployment uses
 random.Random(seed), traffic sampling uses random.Random(f"traffic:{seed}").
@@ -106,11 +108,12 @@ class RoundRecord:
 @dataclass
 class SimulationTrace:
     config: ScenarioConfig
-    placements: list[Optional[SinkPlacement]]
-    tours: Optional[list[Optional[SojournTour]]]
-    rounds: list[RoundRecord]
+    field: NetworkField  # node state: initial after deploy, final after the rounds
+    partitions: list[Partition]
+    placements: list[Optional[SinkPlacement]]  # None for an empty partition
+    tours: list[SojournTour]
     initial_neighbor_sets: list[frozenset[int]]
-    field: NetworkField  # final node state after the last round
+    rounds: list[RoundRecord]
 
 
 class _PartitionState:
@@ -148,18 +151,12 @@ class _PartitionState:
         self.dist_fields.clear()
 
 
-def _quadrant_center(partition: Partition) -> Position:
-    b = partition.bounds
-    return Position((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
-
-
-def deploy(
-    config: ScenarioConfig,
-) -> tuple[NetworkField, list[Partition], list[Optional[SinkPlacement]], list[frozenset[int]]]:
-    """The seeded setup every consumer of a scenario shares: deployment,
-    quadrant split, a CNP placement per non-empty partition and each sink's
-    initial 1-hop neighbor set. Empty partitions get no placement and an
-    empty neighbor set."""
+def deploy(config: ScenarioConfig) -> SimulationTrace:
+    """The seeded setup of a scenario, as a trace with no rounds yet:
+    deployment, quadrant split, a CNP placement per non-empty partition, a
+    tour per sink (a static sink's holds its placement alone) and each
+    sink's initial 1-hop neighbor set. An empty partition's sink idles at
+    the quadrant centre, serves no one and has no neighbors."""
     field = generate_network(
         config.n, config.base_side, config.base_n, config.comm_range,
         config.seed, config.initial_energy,
@@ -169,41 +166,42 @@ def deploy(
         cnp_initial_sink_position(field, partition) if partition.member_ids else None
         for partition in partitions
     ]
+    tours = []
+    for partition, placement in zip(partitions, placements):
+        if placement is None:
+            b = partition.bounds
+            centre = Position((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
+            tours.append(SojournTour(partition.id, centre, ()))
+        elif config.mode == "mobile":
+            tours.append(generate_tour(field, partition, placement))
+        else:
+            tours.append(SojournTour(partition.id, placement.position, ()))
     neighbor_sets = [
         frozenset(one_hop_neighbors(field, placement.position))
         if placement is not None else frozenset()
         for placement in placements
     ]
-    return field, partitions, placements, neighbor_sets
+    return SimulationTrace(config, field, partitions, placements, tours, neighbor_sets, [])
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
-    """Deploy and place, (in mobile mode) plan tours, then simulate rounds."""
-    field, partitions, placements, initial_neighbor_sets = deploy(config)
+    """Deploy, then simulate rounds, appending each to the trace's `rounds`."""
+    trace = deploy(config)
+    field, rounds = trace.field, trace.rounds
     model = config.radio()
-    mobile = config.mode == "mobile"
-    tours = [
-        generate_tour(field, partition, placement)
-        if mobile and placement is not None else None
-        for partition, placement in zip(partitions, placements)
-    ]
-    # an empty quadrant's sink idles at the quadrant centre and serves no one
     states = [
-        _PartitionState(partition, field, model, tour.cycle() if tour is not None else (
-            placement.position if placement is not None else _quadrant_center(partition),
-        ))
-        for partition, placement, tour in zip(partitions, placements, tours)
+        _PartitionState(partition, field, model, tour.cycle())
+        for partition, tour in zip(trace.partitions, trace.tours)
     ]
 
     nodes = field.nodes
     part_of = [0] * len(nodes)
-    for k, part in enumerate(partitions):
+    for k, part in enumerate(trace.partitions):
         for node_id in part.member_ids:
             part_of[node_id] = k
 
     traffic_rng = random.Random(f"traffic:{config.seed}")
     backlog = [0] * len(nodes)
-    rounds: list[RoundRecord] = []
 
     def record_death(node_id: int) -> None:
         """Log a death in the current round's `deaths` and `activity`."""
@@ -277,14 +275,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         if all(state.quiet >= len(state.cycle) for state in states):
             break
 
-    return SimulationTrace(
-        config=config,
-        placements=placements,
-        tours=tours if mobile else None,
-        rounds=rounds,
-        initial_neighbor_sets=initial_neighbor_sets,
-        field=field,
-    )
+    return trace
 
 
 def trace_lines(trace: SimulationTrace) -> list[str]:

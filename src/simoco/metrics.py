@@ -80,7 +80,7 @@ def report_from_export(config: ScenarioConfig, rounds: list[RoundRecord]) -> Met
     sets, which are rebuilt by replaying the deterministic setup from the
     config.
     """
-    return _fold(rounds, deploy(config)[3])
+    return _fold(rounds, deploy(config).initial_neighbor_sets)
 
 
 @dataclass(frozen=True)

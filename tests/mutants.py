@@ -34,6 +34,10 @@ FAULTS = [
      "if underpowered:", "if underpowered and False:"),
     ("mobile member served at a non-covering position", "engine.py",
      "(gap[j] > r, gap[j])", "(gap[j] <= r, gap[j])"),
+    ("static sink given its mobile tour", "engine.py",
+     'elif config.mode == "mobile":', 'elif config.mode != "mobile":'),
+    ("idle sink off the quadrant centre", "engine.py",
+     "(b.x_min + b.x_max) / 2.0", "b.x_min"),
 ]
 
 

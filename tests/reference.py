@@ -5,15 +5,17 @@ cache and no fast path. For every packet it rebuilds the partition's graph
 of alive nodes, runs the breadth-first search from the sink position, walks
 a fewest-hop route that picks the next hop by highest residual energy and
 then lowest id, prices every hop from the radio model and charges the packet
-all at once or not at all. Only the setup (deployment, CNP placement and
-tours) is shared with the engine.
+all at once or not at all. Only deployment, CNP placement and the SiMoCo
+tour walk are shared with the engine; each sink's cycle, an idle sink's
+quadrant centre and the position serving each node are computed here.
 """
 
 import math
 import random
 from collections import deque
+from dataclasses import replace
 
-from simoco import Delivery, Position, RoundRecord, SimulationTrace, deploy, generate_tour
+from simoco import Delivery, Position, RoundRecord, SojournTour, deploy, generate_tour
 from simoco.partitioning import quadrant_index
 
 
@@ -74,17 +76,18 @@ def send(field, config, path, sink):
 
 def run_reference(config):
     """Simulate `config` from scratch, packet by packet."""
-    field, partitions, placements, neighbor_sets = deploy(config)
-    mobile = config.mode == "mobile"
-    tours = [
-        generate_tour(field, partition, placement) if mobile and placement else None
-        for partition, placement in zip(partitions, placements)
-    ]
+    setup = deploy(config)
+    field = setup.field
     cycles = []
-    for partition, placement, tour in zip(partitions, placements, tours):
+    for partition, placement in zip(setup.partitions, setup.placements):
         b = partition.bounds
         centre = Position((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
-        cycles.append(tour.cycle() if tour else (placement.position if placement else centre,))
+        if placement is None:
+            cycles.append((centre,))
+        elif config.mode == "mobile":
+            cycles.append(generate_tour(field, partition, placement).cycle())
+        else:
+            cycles.append((placement.position,))
 
     r = field.comm_range
     part_of = [quadrant_index(node.pos, field.side) for node in field.nodes]
@@ -142,5 +145,5 @@ def run_reference(config):
         quiet = [0 if a else q + 1 for q, a in zip(quiet, active)]
         if all(q >= len(cycle) for q, cycle in zip(quiet, cycles)):
             break
-    return SimulationTrace(config, placements, tours if mobile else None, rounds,
-                           neighbor_sets, field)
+    tours = [SojournTour(k, cycle[0], cycle[1:]) for k, cycle in enumerate(cycles)]
+    return replace(setup, tours=tours, rounds=rounds)

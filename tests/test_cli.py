@@ -175,6 +175,18 @@ class TestTour:
                 tours.append(generate_tour(field, part, cnp_initial_sink_position(field, part)))
         assert read(out) == "\n".join(tour_export_lines(tours)) + "\n"
 
+    @pytest.mark.parametrize("mode", ["static", "mobile"])
+    def test_mode_in_config_file_is_ignored(self, mode, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"mode = {mode}\n")
+        plain, configured = tmp_path / "plain.txt", tmp_path / "configured.txt"
+        # at a 30 m range this field's tours have sojourn points
+        argv = ["tour", "--nodes", "40", "--seed", "7", "--range", "30"]
+        assert main(argv + ["-o", str(plain)]) == 0
+        assert main(argv + ["--config", str(cfg), "-o", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+        assert any(line.split(",")[1] != "0" for line in read(plain).splitlines())
+
 
 class TestConfigFileAndOverrides:
     def test_config_file_applies(self, tmp_path):
@@ -210,6 +222,12 @@ class TestConfigFileAndOverrides:
         assert main(["run", "--config", "/nonexistent/x.cfg"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_repeated_config_key_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 12\nseed = 3\nn = 30\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "bad.cfg:3: config key 'n' given twice" in capsys.readouterr().err
+
     def test_bad_value_type_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = many\n")
@@ -234,7 +252,8 @@ SUBCOMMAND_FLAGS = {
     "matrix": ["--config", "--range", "--rounds", "--energy", "--packet-bits", "--sources"],
     "tour": ["--config", "--range", "--nodes", "--seed"],
 }
-SUBCOMMAND_DEFAULTS = {"run": {}, "matrix": {"base_n": 50}, "tour": {}}
+# `tour` deploys its scenario in mobile mode, whatever mode the settings name
+SUBCOMMAND_DEFAULTS = {"run": {}, "matrix": {"base_n": 50}, "tour": {"mode": "mobile"}}
 
 
 class StopCommand(Exception):
@@ -316,6 +335,7 @@ class TestExitCodes:
         (["matrix", "--sizes", "8", "--seeds", "7..5"], None),
         (["matrix", "--sizes", "8", "--seeds", "3.."], None),
         (["matrix", "--sizes", "8", "--seeds", "1..2..3"], None),
+        (["run"], "n = 12\nn = 30\n"),
     ], ids=["range-nan-static", "range-nan-mobile", "energy-nan", "energy-inf",
             "packet-bits-0", "base-side-nan", "e-elec-nan", "e-amp-negative",
             "matrix-energy-nan", "matrix-size-0", "range-tiny-mobile",
@@ -323,7 +343,7 @@ class TestExitCodes:
             "traffic-config-key-gone", "matrix-size-empty-entry",
             "matrix-seed-trailing-comma", "matrix-seeds-0", "matrix-size-not-int",
             "matrix-seed-range-reversed", "matrix-seed-range-open",
-            "matrix-seed-range-malformed"])
+            "matrix-seed-range-malformed", "config-key-repeated"])
     def test_nonsense_physical_value_exits_one(self, argv, config_text, tmp_path, capsys):
         # small sizes keep the case fast should validation ever let it run
         if argv[0] == "run":

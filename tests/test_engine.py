@@ -6,9 +6,12 @@ import pytest
 
 import simoco.engine as engine
 from simoco import (
+    Position,
     ScenarioConfig,
+    SojournTour,
     compute_report,
     deploy,
+    generate_tour,
     parse_trace_lines,
     run_scenario,
     rx_energy,
@@ -67,18 +70,33 @@ class TestRunScenario:
         assert abs(expected - math.floor(config.initial_energy / cost)) <= 1
         assert len(trace.rounds) == expected
 
-    @pytest.mark.parametrize("mode", ["static", "mobile"])
+    @pytest.mark.parametrize("mode", engine.MODES)
     def test_setup_comes_from_deploy(self, mode):
-        config = small(mode, n=40, comm_range=25.0)
-        field, _, placements, neighbor_sets = deploy(config)
-        trace = run_scenario(config)
-        assert trace.placements == placements
-        assert trace.initial_neighbor_sets == neighbor_sets
-        assert [n.pos for n in trace.field.nodes] == [n.pos for n in field.nodes]
-        if mode == "mobile":
-            assert [t.initial if t else None for t in trace.tours] == [
-                p.position if p else None for p in placements
-            ]
+        # n=40 at 25 m plans tours with points; n=8 at seed 2 leaves quadrant 2 empty
+        empty = points = 0
+        for config in (small(mode, n=40, comm_range=25.0), small(mode, n=8, seed=2)):
+            setup = deploy(config)
+            assert setup.rounds == []
+            trace = run_scenario(config)
+            for name in ("partitions", "placements", "tours", "initial_neighbor_sets"):
+                assert getattr(trace, name) == getattr(setup, name)
+            assert [n.pos for n in trace.field.nodes] == [n.pos for n in setup.field.nodes]
+            assert len(setup.tours) == 4
+            for partition, placement, tour in zip(setup.partitions, setup.placements,
+                                                  setup.tours):
+                assert tour.partition_id == partition.id
+                if placement is None:
+                    empty += 1
+                    b = partition.bounds
+                    centre = Position((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2)
+                    assert tour == SojournTour(partition.id, centre, ())
+                elif mode == "static":
+                    assert tour == SojournTour(partition.id, placement.position, ())
+                else:
+                    assert tour == generate_tour(setup.field, partition, placement)
+                points += len(tour.points)
+        assert empty == 1
+        assert (points > 0) == (mode == "mobile")
 
     def test_max_rounds_one_yields_one_record(self):
         trace = run_scenario(small(max_rounds=1))
@@ -111,22 +129,15 @@ class TestRunScenario:
         for seed in (1, 5, 11):
             static = run_scenario(ScenarioConfig(mode="static", n=8, seed=seed, max_rounds=300))
             mobile = run_scenario(ScenarioConfig(mode="mobile", n=8, seed=seed, max_rounds=300))
-            assert all(tour is None or tour.points == () for tour in mobile.tours)
+            assert all(tour.points == () for tour in mobile.tours)
             assert trace_lines(static) == trace_lines(mobile)
 
     def test_mobile_sink_positions_come_from_tour(self):
         trace = run_scenario(small(mode="mobile", n=40, seed=1, max_rounds=200))
-        allowed = []
-        for k in range(4):
-            tour = trace.tours[k]
-            if tour is not None:
-                allowed.append(set(tour.cycle()))
-            else:
-                allowed.append(None)
+        allowed = [set(tour.cycle()) for tour in trace.tours]
         for rec in trace.rounds:
             for k in range(4):
-                if allowed[k] is not None:
-                    assert rec.sink_positions[k] in allowed[k]
+                assert rec.sink_positions[k] in allowed[k]
 
     def test_static_sink_positions_fixed_at_placement(self):
         trace = run_scenario(small(n=40, seed=1, max_rounds=50))

@@ -31,11 +31,12 @@ def round_rec(idx, deliveries=(), deaths=()):
 def fake_trace(rounds, neighbor_sets=None):
     return SimulationTrace(
         config=ScenarioConfig(),
-        placements=[None] * 4,
-        tours=None,
-        rounds=list(rounds),
-        initial_neighbor_sets=neighbor_sets or [frozenset()] * 4,
         field=NetworkField(nodes=[], side=200.0, comm_range=45.0),
+        partitions=[],  # the metrics read only the rounds and the neighbor sets
+        placements=[],
+        tours=[],
+        initial_neighbor_sets=neighbor_sets or [frozenset()] * 4,
+        rounds=list(rounds),
     )
 
 
@@ -88,8 +89,9 @@ class TestMetricOps:
         # only its own partition; seed 1's SE sink reaches node 94 across the
         # quadrant border, so its set dies only when node 94 does.
         config = ScenarioConfig(seed=1)
-        _, partitions, _, neighbor_sets = deploy(config)
-        own = neighbor_sets[1] & set(partitions[1].member_ids)
+        setup = deploy(config)
+        neighbor_sets = setup.initial_neighbor_sets
+        own = neighbor_sets[1] & set(setup.partitions[1].member_ids)
         assert neighbor_sets[1] - own == {94}
         trace = fake_trace(
             [round_rec(5, deaths=sorted(own)), round_rec(9, deaths=[94])],
