@@ -226,6 +226,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         sink_positions = tuple(state.cycle[j] for state, j in zip(states, pos_indices))
 
         deliveries: list[Delivery] = []
+        add_delivery = deliveries.append
         deaths: list[int] = []
         pending_deaths: set[int] = set()
         activity = [False, False, False, False]
@@ -239,24 +240,24 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             ]
             if not ready:
                 continue
-            dist = state.dist_field_at(pos_idx)
+            graph, dist = state.graph, state.dist_field_at(pos_idx)
             for source in ready:
                 node = nodes[source]
                 while node.alive and backlog[source] > 0:
                     if source not in dist.hops:
                         break  # unreachable this round: sends nothing, pays nothing
-                    route = min_hop_route(state.graph, source, dist)
-                    record = deliver_packet(field, model, route)
+                    route = min_hop_route(graph, source, dist)
+                    energy, delivered, died, underpowered = deliver_packet(field, model, route)
                     backlog[source] -= 1
-                    deliveries.append(
-                        Delivery(source, route.hop_count, record.total_energy, record.delivered)
+                    add_delivery(
+                        tuple.__new__(Delivery, (source, len(route.path), energy, delivered))
                     )
-                    if not record.delivered:
-                        pending_deaths.update(record.underpowered)
+                    if not delivered:
+                        pending_deaths.update(underpowered)
                         break  # dropped: stop serving this source this round
                     activity[k] = True
-                    if record.died:
-                        for dead_id in record.died:
+                    if died:
+                        for dead_id in died:
                             record_death(dead_id)
                         dist = state.dist_field_at(pos_idx)
 

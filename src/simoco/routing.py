@@ -176,22 +176,39 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
     offenders are reported as underpowered (the caller marks them dead at
     round end). Nodes left below the death threshold are marked dead here.
     """
-    nodes = [field.nodes[node_id] for node_id in route.path]
-    underpowered = []
-    for node, cost in zip(nodes, route.costs):
+    # Records are built by tuple.__new__, which skips the NamedTuple's own
+    # Python-level __new__; this runs once per packet.
+    nodes = field.nodes
+    path, costs = route
+    threshold = model.e_elec * model.packet_bits  # dead once it cannot afford an rx
+    if len(path) == 1:  # every mobile delivery; its total, 0.0 + cost, is cost itself
+        node, cost = nodes[path[0]], costs[0]
         if not node.alive:
             raise ValueError(f"stale route: node {node.id} is dead")
+        energy = node.energy
+        if energy < cost:
+            return tuple.__new__(DeliveryRecord, (0.0, False, (), path))
+        node.energy = energy = energy - cost
+        if energy < threshold:
+            node.alive = False
+            return tuple.__new__(DeliveryRecord, (cost, True, path, ()))
+        return tuple.__new__(DeliveryRecord, (cost, True, (), ()))
+    underpowered = []
+    for node_id, cost in zip(path, costs):
+        node = nodes[node_id]
+        if not node.alive:
+            raise ValueError(f"stale route: node {node_id} is dead")
         if node.energy < cost:
-            underpowered.append(node.id)
+            underpowered.append(node_id)
     if underpowered:
-        return DeliveryRecord(0.0, False, (), tuple(underpowered))
-    threshold = rx_energy(model)  # dead once it cannot afford receiving a packet
+        return tuple.__new__(DeliveryRecord, (0.0, False, (), tuple(underpowered)))
     total = 0.0
     died = []
-    for node, cost in zip(nodes, route.costs):
+    for node_id, cost in zip(path, costs):
+        node = nodes[node_id]
         node.energy -= cost
         total += cost
         if node.energy < threshold:
             node.alive = False
-            died.append(node.id)
-    return DeliveryRecord(total, True, tuple(died), ())
+            died.append(node_id)
+    return tuple.__new__(DeliveryRecord, (total, True, tuple(died), ()))

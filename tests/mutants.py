@@ -23,7 +23,7 @@ FAULTS = [
     ("reversed id tie-break in min_hop_route", "routing.py",
      "energy == best_energy and v < best", "energy == best_energy and v > best"),
     ("dropped pending death", "engine.py",
-     "pending_deaths.update(record.underpowered)", "pass"),
+     "pending_deaths.update(underpowered)", "pass"),
     ("SinkField cache kept across a death", "engine.py",
      "self.dist_fields.clear()", "pass"),
     ("death threshold <= in place of <", "routing.py",
@@ -32,6 +32,10 @@ FAULTS = [
      "break  # dropped", "continue  # dropped"),
     ("underpowered node charged", "routing.py",
      "if underpowered:", "if underpowered and False:"),
+    ("one-hop death threshold <= in place of <", "routing.py",
+     "if energy < threshold:", "if energy <= threshold:"),
+    ("one-hop underpowered source charged", "routing.py",
+     "if energy < cost:", "if energy < cost and False:"),
     ("mobile member served at a non-covering position", "engine.py",
      "(gap[j] > r, gap[j])", "(gap[j] <= r, gap[j])"),
     ("static sink given its mobile tour", "engine.py",

@@ -167,13 +167,16 @@ class TestMatrixSummary:
 class TestTour:
     def test_lines_match_direct_module_calls(self, tmp_path):
         out = tmp_path / "tours.txt"
-        assert main(["tour", "--nodes", "40", "--seed", "7", "-o", str(out)]) == 0
-        field = generate_network(40, 200.0, 100, 45.0, 7, 0.5)
+        # at a 30 m range this field's tours have sojourn points
+        argv = ["tour", "--nodes", "40", "--seed", "7", "--range", "30", "-o", str(out)]
+        assert main(argv) == 0
+        field = generate_network(40, 200.0, 100, 30.0, 7, 0.5)
         tours = []
         for part in quadrant_partition(field):
             if part.member_ids:
                 tours.append(generate_tour(field, part, cnp_initial_sink_position(field, part)))
         assert read(out) == "\n".join(tour_export_lines(tours)) + "\n"
+        assert any(line.split(",")[1] != "0" for line in read(out).splitlines())
 
     @pytest.mark.parametrize("mode", ["static", "mobile"])
     def test_mode_in_config_file_is_ignored(self, mode, tmp_path):

@@ -26,9 +26,12 @@ def test_energy_is_conserved(config):
 @invariant
 def test_no_energy_ever_rises(config):
     rises = []
+    charges = 0
     deliver = engine.deliver_packet
 
     def observed(field, model, route):
+        nonlocal charges
+        charges += 1
         before = [node.energy for node in field.nodes]
         record = deliver(field, model, route)
         rises.extend(
@@ -40,6 +43,8 @@ def test_no_energy_ever_rises(config):
         mp.setattr(engine, "deliver_packet", observed)
         trace = run_scenario(config)
     assert rises == []
+    # every delivery record, delivered or dropped, was charged under the watch
+    assert charges == sum(len(rec.deliveries) for rec in trace.rounds)
     assert all(node.energy <= config.initial_energy for node in trace.field.nodes)
 
 

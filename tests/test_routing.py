@@ -213,3 +213,54 @@ class TestDeliverPacket:
 
         remove_node(g, 1)
         assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 2)
+
+
+class TestOneHopCharge:
+    """A one-hop route, the shape of every mobile delivery, charges its
+    source alone: the sink is not energy constrained."""
+
+    def one_hop(self, sink_pos=(10, 0)):
+        field, g, sink = graph_for([(0, 0)], sink_pos)
+        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        assert route.hop_count == 1
+        return field, route
+
+    def test_total_is_the_route_cost(self):
+        field, route = self.one_hop()
+        record = deliver_packet(field, MODEL, route)
+        assert record == (route.costs[0], True, (), ())
+        assert record.total_energy == tx_energy(MODEL, 10.0)
+        assert field.nodes[0].energy == 0.5 - route.costs[0]
+
+    def test_left_at_threshold_stays_alive_below_it_dies(self):
+        # at its sink (d = 0) a packet costs exactly rx, the death threshold
+        field, route = self.one_hop(sink_pos=(0, 0))
+        assert route.costs[0] == rx_energy(MODEL)
+        field.nodes[0].energy = 2 * rx_energy(MODEL)
+        first = deliver_packet(field, MODEL, route)
+        assert field.nodes[0].energy == rx_energy(MODEL)
+        assert field.nodes[0].alive
+        assert first.died == ()
+        second = deliver_packet(field, MODEL, route)
+        assert second.delivered
+        assert field.nodes[0].energy == 0.0
+        assert not field.nodes[0].alive
+        assert second.died == (0,)
+
+    def test_drop_charges_nothing(self):
+        field, route = self.one_hop()
+        field.nodes[0].energy = route.costs[0] / 2
+        record = deliver_packet(field, MODEL, route)
+        assert not record.delivered
+        assert record.total_energy == 0.0
+        assert record.underpowered == (0,)
+        assert record.died == ()
+        assert field.nodes[0].energy == route.costs[0] / 2
+        assert field.nodes[0].alive  # caller marks underpowered nodes at round end
+
+    def test_dead_source_rejected(self):
+        field, route = self.one_hop()
+        field.nodes[0].alive = False
+        with pytest.raises(ValueError, match="stale route"):
+            deliver_packet(field, MODEL, route)
+        assert field.nodes[0].energy == 0.5
