@@ -63,12 +63,6 @@ def generate_network(
     Mersenne Twister (random.Random) seeded with `seed`; per node id order,
     x is drawn before y, which makes layouts bit-reproducible.
     """
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    if base_n < 1:
-        raise ValueError(f"base node count must be >= 1, got {base_n}")
-    if base_side <= 0 or comm_range <= 0:
-        raise ValueError("base_side and comm_range must be positive")
     side = base_side * math.sqrt(n / base_n)
     rng = random.Random(seed)
     nodes = [

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -42,7 +43,9 @@ from .routing import (
     deliver_packet,
     min_hop_route,
     remove_node,
+    rx_energy,
     sink_distance_field,
+    tx_energy,
 )
 
 MODES = ("static", "mobile")
@@ -64,27 +67,38 @@ class ScenarioConfig:
     sources_per_round: Optional[int] = None  # None: every alive node sends
 
     def __post_init__(self) -> None:
+        """The one validation site: the layers trust a config that passes."""
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.base_n < 1:
-            raise ValueError(f"base_n must be >= 1, got {self.base_n}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        for name in ("n", "base_n", "max_rounds", "packet_bits"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sources_per_round is not None and self.sources_per_round < 1:
             raise ValueError(f"sources_per_round must be >= 1, got {self.sources_per_round}")
         for name in ("base_side", "comm_range", "initial_energy", "e_elec", "e_amp"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # Each sum or product a run forms is bounded by one of these (a path's
+        # charges, energy drained, a centroid sum, a tour step's product).
+        try:  # OverflowError: an int too large for a float, as packet_bits
+            side = self.base_side * math.sqrt(self.n / self.base_n)
+            radio = self.radio()
+            hop = tx_energy(radio, self.comm_range) + rx_energy(radio)
+            derived = {"n * largest per-hop charge": self.n * hop,
+                       "n * initial_energy": self.n * self.initial_energy,
+                       "n * side": self.n * side, "2 * side * side": 2 * side * side}
+        except OverflowError as exc:
+            raise ValueError(f"scenario exceeds the float range: {exc}") from exc
+        for name, value in derived.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite float, got {value!r}")
+        if side * side < sys.float_info.min:  # nor may a tour step's products underflow
+            raise ValueError(f"side * side underflows: side {side!r} is too small")
         # the tour walk takes about side / comm_range steps per buffered node
-        side = self.base_side * math.sqrt(self.n / self.base_n)
         if self.comm_range < side / 1000:
             raise ValueError(f"comm_range must be >= side/1000 = {side / 1000!r}, "
                              f"got {self.comm_range!r}")
-        if self.packet_bits < 1:
-            raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
 
     def radio(self) -> RadioEnergyModel:
         return RadioEnergyModel(self.e_elec, self.e_amp, self.packet_bits)

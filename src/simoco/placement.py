@@ -58,10 +58,6 @@ def cnp_iterates(field: NetworkField, partition: Partition) -> Iterator[tuple[Po
 
 def cnp_initial_sink_position(field: NetworkField, partition: Partition) -> SinkPlacement:
     """Run the CNP climb and return the final sink placement."""
-    iterations = 0
-    position = None
-    count = 0
-    for position, count in cnp_iterates(field, partition):
-        iterations += 1
-    assert position is not None
-    return SinkPlacement(position, count, iterations)
+    iterates = list(cnp_iterates(field, partition))
+    position, count = iterates[-1]
+    return SinkPlacement(position, count, len(iterates))

@@ -75,14 +75,8 @@ class RadioEnergyModel:
     e_amp: float = 100e-12  # J per bit per m^2, transmit amplifier
     packet_bits: int = 2000
 
-    def __post_init__(self) -> None:
-        if self.e_elec <= 0 or self.e_amp <= 0 or self.packet_bits <= 0:
-            raise ValueError("radio parameters must be strictly positive")
-
 
 def tx_energy(model: RadioEnergyModel, d: float) -> float:
-    if d < 0:
-        raise ValueError(f"negative distance {d}")
     return model.e_elec * model.packet_bits + model.e_amp * model.packet_bits * d * d
 
 
@@ -134,10 +128,9 @@ def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> SinkFie
 
 def min_hop_route(graph: ConnectivityGraph, source: int, sink_field: SinkField) -> Optional[Route]:
     """Fewest-hop route from source to the sink of `sink_field`, or None when
-    unreachable; one `sink_distance_field` serves every source of a round."""
-    nodes = graph.field.nodes
-    if source not in graph.adjacency or not nodes[source].alive:
-        raise ValueError(f"source {source} is dead or not in the graph")
+    unreachable; one `sink_distance_field` serves every source of a round.
+    Each `closer` list ascends by id, as `build_graph` fills adjacency in id
+    order and `remove_node` keeps it, so the first richest is the lowest id."""
     hops, direct, closer = sink_field
     route = direct.get(source)
     if route is not None:
@@ -145,6 +138,7 @@ def min_hop_route(graph: ConnectivityGraph, source: int, sink_field: SinkField) 
     d = hops.get(source)
     if d is None:
         return None
+    nodes = graph.field.nodes
     relay_rx = rx_energy(graph.model)
     path, costs, current = [source], [], source
     rx = 0.0  # the source receives nothing, and tx + 0.0 == tx
@@ -158,7 +152,7 @@ def min_hop_route(graph: ConnectivityGraph, source: int, sink_field: SinkField) 
         best_energy = nodes[best].energy
         for v, cost in options:
             energy = nodes[v].energy
-            if energy > best_energy or (energy == best_energy and v < best):
+            if energy > best_energy:
                 best, best_cost, best_energy = v, cost, energy
         path.append(best)
         costs.append(best_cost + rx)

@@ -21,7 +21,7 @@ ORACLES = ["test_golden.py", "test_reference.py", "test_invariants.py"]
 # (fault, file under src/simoco, text that occurs once, its replacement)
 FAULTS = [
     ("reversed id tie-break in min_hop_route", "routing.py",
-     "energy == best_energy and v < best", "energy == best_energy and v > best"),
+     "if energy > best_energy:", "if energy >= best_energy:"),
     ("dropped pending death", "engine.py",
      "pending_deaths.update(underpowered)", "pass"),
     ("SinkField cache kept across a death", "engine.py",

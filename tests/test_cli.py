@@ -418,6 +418,29 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
 
+    # each once exited 2, or exited 0 with NaN or Infinity in a trace that is
+    # not valid JSON; a derived quantity outside the float range is a config error
+    @pytest.mark.parametrize("argv, config_text", [
+        (["run", "--nodes", "4", "--rounds", "3", "--packet-bits", "1" + "0" * 400], None),
+        (["run", "--mode", "mobile", "--nodes", "3", "--rounds", "3"],
+         "base_n = 1\nbase_side = 1e308\ncomm_range = 1e308\n"),
+        (["tour", "--nodes", "3"], "base_n = 1\nbase_side = 1e308\ncomm_range = 1e308\n"),
+        (["run", "--packet-bits", "1000", "--nodes", "4", "--seed", "1", "--rounds", "3"],
+         "e_amp = 1e306\n"),
+        (["run", "--nodes", "8", "--seed", "1", "--rounds", "3"],
+         "base_side = 1e308\nbase_n = 8\ncomm_range = 1e306\n"),
+    ], ids=["packet-bits-beyond-float", "tour-cap-overflow-run", "tour-cap-overflow-tour",
+            "nan-energy-on-sink", "infinite-centroid"])
+    def test_float_range_exceeded_exits_one(self, argv, config_text, tmp_path, capsys):
+        if config_text is not None:
+            cfg = tmp_path / "extreme.cfg"
+            cfg.write_text(config_text)
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_range_tour_exits_one(self, capsys):
         # below side/1000 the tour walk would take ~1e10 steps instead of failing
         assert main(["tour", "--nodes", "20", "--range", "1e-6"]) == 1

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from simoco import (
     NetworkField,
     Position,
+    ScenarioConfig,
     SensorNode,
     centroid,
     generate_network,
@@ -112,10 +113,10 @@ class TestGenerateNetwork:
         assert all(0 <= n.pos.x <= field.side and 0 <= n.pos.y <= field.side for n in field.nodes)
 
     def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            generate_network(0, 200, 50, 45, 1, 0.5)
-        with pytest.raises(ValueError):
-            generate_network(10, 200, 0, 45, 1, 0.5)
+        # generate_network trusts its caller; the scenario config is the check
+        for bad in (dict(n=0), dict(base_n=0), dict(base_side=0.0), dict(comm_range=-45.0)):
+            with pytest.raises(ValueError):
+                ScenarioConfig(**bad)
 
     @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)

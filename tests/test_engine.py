@@ -1,10 +1,16 @@
+import json
 import math
+import re
 import statistics
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simoco.engine as engine
+import simoco.metrics as metrics
 from simoco import (
     Position,
     ScenarioConfig,
@@ -45,6 +51,89 @@ class TestConfig:
         model = ScenarioConfig().radio()
         assert model.packet_bits == 2000
         assert rx_energy(model) == pytest.approx(1e-4, rel=1e-12)
+
+    def test_one_bit_packet_accepted_and_simulated(self):
+        config = ScenarioConfig(n=4, packet_bits=1, max_rounds=3)
+        trace = run_scenario(config)
+        deliveries = [d for rec in trace.rounds for d in rec.deliveries]
+        assert len(deliveries) == 3 * 4 and all(d.delivered for d in deliveries)
+        assert min(d.energy for d in deliveries) >= tx_energy(config.radio(), 0.0) == 50e-9
+
+    # each config breaks exactly one derived quantity; every other check passes
+    @pytest.mark.parametrize("kw, message", [
+        (dict(packet_bits=10**400), "exceeds the float range"),
+        (dict(n=4, e_amp=1e306, packet_bits=1000), "n * largest per-hop charge"),
+        (dict(n=2, initial_energy=1e308), "n * initial_energy"),
+        (dict(n=10**300, base_n=10**300, base_side=1e10, comm_range=1e8, e_elec=1e-30,
+              e_amp=1e-30, packet_bits=1, initial_energy=1e-30), "n * side"),
+        (dict(base_side=1e155, comm_range=1e153), "2 * side * side"),
+        (dict(base_side=1e-160, comm_range=1e-162), "side * side underflows"),
+    ], ids=["packet-bits-int-overflow", "hop-charge", "total-energy", "centroid-sum",
+            "tour-step-overflow", "tour-step-underflow"])
+    def test_derived_quantity_must_be_a_finite_float(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioConfig(**kw)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# ordinary values, IEEE extremes and any other positive float
+_floats = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([5e-324, sys.float_info.min, 1e-160, 1e-150, 1e150, 1e154, 1e300,
+                     sys.float_info.max]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
+_huge_ints = st.sampled_from([2**53, 2**1023, 10**400])
+
+
+@st.composite
+def _configs(draw):
+    """Keywords for every ScenarioConfig field; n <= 8 and max_rounds <= 3,
+    so no example allocates much."""
+    kw = dict(
+        mode=draw(st.sampled_from(engine.MODES)),
+        n=draw(st.integers(min_value=1, max_value=8)),
+        base_side=draw(_floats),
+        base_n=draw(st.integers(min_value=1, max_value=16) | _huge_ints),
+        initial_energy=draw(_floats),
+        e_elec=draw(_floats),
+        e_amp=draw(_floats),
+        packet_bits=draw(st.integers(min_value=1, max_value=10**4) | _huge_ints),
+        # a longer seed is not an int a command line or config file can give
+        seed=draw(st.integers(min_value=-(10**4300 - 1), max_value=10**4300 - 1)),
+        max_rounds=draw(st.integers(min_value=1, max_value=3)),
+        sources_per_round=draw(st.none() | st.integers(min_value=1, max_value=10) | _huge_ints),
+    )
+    # a range well below the field side plans tours with points
+    scale = draw(st.none() | st.floats(min_value=1e-3, max_value=0.25))
+    side = kw["base_side"] * math.sqrt(kw["n"] / kw["base_n"])
+    kw["comm_range"] = draw(_floats) if scale is None else side * scale
+    return kw
+
+
+@given(_configs())
+@settings(max_examples=400, deadline=None)
+def test_accepted_config_runs_to_finite_output(kw):
+    """Every config is rejected with ValueError, or runs, exports and
+    reports in finite floats: the layers never re-check it."""
+    try:
+        config = ScenarioConfig(**kw)
+    except ValueError:
+        return
+    trace = run_scenario(config)
+    for line in trace_lines(trace):
+        json.loads(line, parse_constant=_reject_constant)
+    report = compute_report(trace)
+    row = metrics._run_cell(config)
+    assert row.error is None and row.report == report
+    values = [node.energy for node in trace.field.nodes]
+    values += [c for tour in trace.tours for p in tour.cycle() for c in p]
+    values += [report.avg_energy_per_packet, report.avg_hop_count, report.delivered_energy,
+               row.energy_conservation_rel_err]
+    assert all(math.isfinite(v) for v in values if v is not None)
 
 
 class TestRunScenario:

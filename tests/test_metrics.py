@@ -195,6 +195,15 @@ class TestExperimentMatrix:
         assert all(r.energy_conservation_rel_err <= 1e-9 for r in rows)
 
 
+class TestResolveWorkers:
+    def test_zero_means_one_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: 7)
+        monkeypatch.delenv("SIMOCO_THREADS", raising=False)
+        assert metrics_module.resolve_workers(0) == 7
+        monkeypatch.setenv("SIMOCO_THREADS", "0")
+        assert metrics_module.resolve_workers() == 7
+
+
 class TestEmitCsv:
     HEADER = "size,mode,seed,avg_energy_j,neighbor_death_round,first_death_round,avg_hops,packets"
 

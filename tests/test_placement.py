@@ -69,6 +69,22 @@ class TestCnpExamples:
         assert got.neighbor_count == 20
         assert got.iterations == 2
 
+    def test_member_at_exactly_range_is_counted(self):
+        # the centroid (55, 0) is exactly 10 m from the member at x=45
+        got = place([(45, 0), (60, 0), (60, 0)], comm_range=10)
+        assert got.position == Position(55.0, 0.0)
+        assert got.neighbor_count == 3
+
+    def test_member_at_exactly_range_joins_the_candidate_centroid(self):
+        # hand trace: the centroid (15, 0) sees x=5 (exactly 10 m) and x=10;
+        # their centroid (7.5, 0) sees four members and is accepted, and the
+        # next candidate (3.75, 0) ties at four. Leaving x=5 out of the
+        # in-range centroid would have moved the sink to (10, 0) instead.
+        got = place([(5, 0), (10, 0), (0, 0), (0, 0), (60, 0)], comm_range=10)
+        assert got.position == Position(7.5, 0.0)
+        assert got.neighbor_count == 4
+        assert got.iterations == 2
+
     def test_empty_partition_rejected(self):
         field = generate_network(4, 200, 100, 45, 2, 0.5)
         empties = [p for p in quadrant_partition(field) if not p.member_ids]
