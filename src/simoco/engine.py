@@ -29,8 +29,9 @@ import json
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import NetworkField, Position, generate_network, one_hop_neighbors
 from .mobility import SojournTour, generate_tour
@@ -75,6 +76,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sources_per_round is not None and self.sources_per_round < 1:
             raise ValueError(f"sources_per_round must be >= 1, got {self.sources_per_round}")
+        # the traffic RNG is seeded from str(seed); Python < 3.10.7 has no limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits and abs(self.seed) >= 10 ** digits:
+            raise ValueError(f"seed must have at most {digits} decimal digits")
         for name in ("base_side", "comm_range", "initial_energy", "e_elec", "e_amp"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -111,11 +116,47 @@ class Delivery(NamedTuple):
     delivered: bool
 
 
+class Deliveries:
+    """One round's delivery records, a read-only sequence of `Delivery` held
+    as columns packed in `bytes` (int64 `source` and `hop_count`, float64
+    `energy`, a byte per `delivered`). The garbage collector never tracks a
+    bytes object; it does track an `array`, since CPython 3.10."""
+
+    __slots__ = ("_source", "_hop_count", "_energy", "delivered")
+
+    def __init__(self, rows: Iterable[tuple] = ()):  # (source, hop_count, energy, delivered)
+        source, hop_count, energy, delivered = tuple(zip(*rows, strict=True)) or ((),) * 4
+        self._source = array("q", source).tobytes()
+        self._hop_count = array("q", hop_count).tobytes()
+        self._energy = array("d", energy).tobytes()
+        self.delivered = bytes(delivered)
+
+    source = property(lambda self: memoryview(self._source).cast("q"))
+    hop_count = property(lambda self: memoryview(self._hop_count).cast("q"))
+    energy = property(lambda self: memoryview(self._energy).cast("d"))
+
+    def rows(self) -> Iterable[tuple[int, int, float, bool]]:
+        """The records as plain tuples, in order."""
+        return zip(self.source, self.hop_count, self.energy, map(bool, self.delivered))
+
+    def __len__(self) -> int:
+        return len(self.delivered)
+
+    def __iter__(self):
+        return map(Delivery._make, self.rows())
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, Deliveries) else other)
+
+    def __hash__(self) -> int:  # a RoundRecord is a frozen dataclass, so hashable
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     round_index: int
     sink_positions: tuple[Position, ...]
-    deliveries: tuple[Delivery, ...]
+    deliveries: Deliveries
     deaths: tuple[int, ...]
 
 
@@ -239,7 +280,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         pos_indices = [(round_index - 1) % len(state.cycle) for state in states]
         sink_positions = tuple(state.cycle[j] for state, j in zip(states, pos_indices))
 
-        deliveries: list[Delivery] = []
+        deliveries: list[tuple[int, int, float, bool]] = []
         add_delivery = deliveries.append
         deaths: list[int] = []
         pending_deaths: set[int] = set()
@@ -263,9 +304,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     route = min_hop_route(graph, source, dist)
                     energy, delivered, died, underpowered = deliver_packet(field, model, route)
                     backlog[source] -= 1
-                    add_delivery(
-                        tuple.__new__(Delivery, (source, len(route.path), energy, delivered))
-                    )
+                    add_delivery((source, len(route.path), energy, delivered))
                     if not delivered:
                         pending_deaths.update(underpowered)
                         break  # dropped: stop serving this source this round
@@ -283,7 +322,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                 node.alive = False
                 record_death(node_id)
 
-        rounds.append(RoundRecord(round_index, sink_positions, tuple(deliveries), tuple(deaths)))
+        rounds.append(RoundRecord(round_index, sink_positions, Deliveries(deliveries), tuple(deaths)))
 
         for state, active in zip(states, activity):
             state.quiet = 0 if active else state.quiet + 1
@@ -300,7 +339,7 @@ def trace_lines(trace: SimulationTrace) -> list[str]:
         obj = {
             "round": rec.round_index,
             "sinks": [[p.x, p.y] for p in rec.sink_positions],
-            "deliveries": [[d.source, d.hop_count, d.energy, d.delivered] for d in rec.deliveries],
+            "deliveries": list(rec.deliveries.rows()),
             "deaths": list(rec.deaths),
         }
         lines.append(json.dumps(obj, separators=(",", ":")))
@@ -318,7 +357,7 @@ def parse_trace_lines(lines: list[str]) -> list[RoundRecord]:
             RoundRecord(
                 round_index=obj["round"],
                 sink_positions=tuple(Position(x, y) for x, y in obj["sinks"]),
-                deliveries=tuple(Delivery(s, h, e, ok) for s, h, e, ok in obj["deliveries"]),
+                deliveries=Deliveries(obj["deliveries"]),
                 deaths=tuple(obj["deaths"]),
             )
         )

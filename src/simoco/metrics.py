@@ -16,7 +16,6 @@ counts only the sink's own partition.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -46,10 +45,11 @@ def _fold(rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]
     first_death = None
     death_round: dict[int, int] = {}
     for rec in rounds:
-        for d in rec.deliveries:
-            if d.delivered:
-                energy += d.energy
-                hops += d.hop_count
+        records = rec.deliveries
+        for ok, cost, hop_count in zip(records.delivered, records.energy, records.hop_count):
+            if ok:
+                energy += cost
+                hops += hop_count
                 delivered += 1
         if rec.deaths and first_death is None:
             first_death = rec.round_index
@@ -150,6 +150,7 @@ def run_experiment_matrix(
     if workers <= 1:
         rows = [_run_cell(cell) for cell in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms; serial runs skip it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
     rows.sort(key=lambda row: (row.size, row.mode, row.seed))

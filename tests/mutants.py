@@ -42,6 +42,13 @@ FAULTS = [
      'elif config.mode == "mobile":', 'elif config.mode != "mobile":'),
     ("idle sink off the quadrant centre", "engine.py",
      "(b.x_min + b.x_max) / 2.0", "b.x_min"),
+    ("delivery columns transposed with source and hop_count swapped", "engine.py",
+     "source, hop_count, energy, delivered = tuple(zip(",
+     "hop_count, source, energy, delivered = tuple(zip("),
+    ("_fold ignores the delivered column", "metrics.py",
+     "            if ok:", "            if True:"),
+    ("delivered column exported as 0 and 1", "engine.py",
+     "map(bool, self.delivered)", "self.delivered"),
 ]
 
 

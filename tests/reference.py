@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import replace
 
-from simoco import Delivery, Position, RoundRecord, SojournTour, deploy, generate_tour
+from simoco import Deliveries, Position, RoundRecord, SojournTour, deploy, generate_tour
 from simoco.partitioning import quadrant_index
 
 
@@ -129,7 +129,7 @@ def run_reference(config):
                     path = route(field, graph, dist, source)
                     delivered, energy, died, short = send(field, config, path, sinks[k])
                     backlog[source] -= 1
-                    deliveries.append(Delivery(source, len(path), energy, delivered))
+                    deliveries.append((source, len(path), energy, delivered))
                     if not delivered:
                         underpowered.update(short)
                         break
@@ -140,7 +140,7 @@ def run_reference(config):
                 field.nodes[u].alive = False
                 deaths.append(u)
                 active[part_of[u]] = True
-        rounds.append(RoundRecord(round_index, sinks, tuple(deliveries), tuple(deaths)))
+        rounds.append(RoundRecord(round_index, sinks, Deliveries(deliveries), tuple(deaths)))
 
         quiet = [0 if a else q + 1 for q, a in zip(quiet, active)]
         if all(q >= len(cycle) for q, cycle in zip(quiet, cycles)):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import simoco.engine as engine
 import simoco.metrics as metrics
 from simoco import (
+    Deliveries,
+    Delivery,
     Position,
     ScenarioConfig,
     SojournTour,
@@ -59,6 +62,18 @@ class TestConfig:
         assert len(deliveries) == 3 * 4 and all(d.delivered for d in deliveries)
         assert min(d.energy for d in deliveries) >= tx_energy(config.radio(), 0.0) == 50e-9
 
+    def test_seed_beyond_the_int_str_limit_rejected(self):
+        # the traffic RNG is seeded from str(seed), which refuses longer ints
+        digits = sys.get_int_max_str_digits()
+        if not digits:
+            pytest.skip("this interpreter has no int-to-str limit")
+        for seed in (10**digits, -(10**digits)):
+            with pytest.raises(ValueError, match=f"seed must have at most {digits} decimal"):
+                ScenarioConfig(seed=seed)
+        for seed in (10**digits - 1, -(10**digits - 1)):
+            trace = run_scenario(ScenarioConfig(n=4, max_rounds=2, seed=seed, sources_per_round=2))
+            assert len(trace.rounds) == 2
+
     # each config breaks exactly one derived quantity; every other check passes
     @pytest.mark.parametrize("kw, message", [
         (dict(packet_bits=10**400), "exceeds the float range"),
@@ -102,8 +117,9 @@ def _configs(draw):
         e_elec=draw(_floats),
         e_amp=draw(_floats),
         packet_bits=draw(st.integers(min_value=1, max_value=10**4) | _huge_ints),
-        # a longer seed is not an int a command line or config file can give
-        seed=draw(st.integers(min_value=-(10**4300 - 1), max_value=10**4300 - 1)),
+        # a seed past the int-to-str limit (4,300 digits) is rejected by the config
+        seed=draw(st.integers(min_value=-(10**4300 - 1), max_value=10**4300 - 1)
+                  | st.integers(min_value=-(10**4400), max_value=10**4400)),
         max_rounds=draw(st.integers(min_value=1, max_value=3)),
         sources_per_round=draw(st.none() | st.integers(min_value=1, max_value=10) | _huge_ints),
     )
@@ -119,6 +135,11 @@ def _configs(draw):
 def test_accepted_config_runs_to_finite_output(kw):
     """Every config is rejected with ValueError, or runs, exports and
     reports in finite floats: the layers never re-check it."""
+    digits = sys.get_int_max_str_digits()
+    if digits and abs(kw["seed"]) >= 10**digits:
+        with pytest.raises(ValueError, match="seed must have at most"):
+            ScenarioConfig(**kw)
+        return
     try:
         config = ScenarioConfig(**kw)
     except ValueError:
@@ -335,6 +356,36 @@ class TestTraceExport:
         for source, hops, energy, ok in obj["deliveries"]:
             assert isinstance(source, int) and isinstance(hops, int)
             assert isinstance(energy, float) and isinstance(ok, bool)
+
+
+class TestDeliveryColumns:
+    def test_finished_trace_tracks_objects_per_round_not_per_record(self):
+        trace = run_scenario(small(mode="mobile"))
+        assert not any(node.alive for node in trace.field.nodes)  # it ran to death
+        rounds = len(trace.rounds)
+        records = sum(len(rec.deliveries) for rec in trace.rounds)
+        assert records > 10 * rounds  # so one tracked object per record would show
+        for rec in trace.rounds:
+            columns = [obj for obj in gc.get_referents(rec.deliveries) if obj is not Deliveries]
+            assert len(columns) == 4 and not any(gc.is_tracked(obj) for obj in columns)
+        gc.collect()
+        with_rounds = len(gc.get_objects())
+        trace.rounds.clear()
+        gc.collect()
+        assert with_rounds - len(gc.get_objects()) <= 5 * rounds
+
+    def test_a_sequence_of_delivery_records(self):
+        trace = run_scenario(small(n=60, seed=3, initial_energy=0.005, max_rounds=300))
+        rec = next(rec for rec in trace.rounds if not all(d.delivered for d in rec.deliveries))
+        records = tuple(rec.deliveries)
+        assert len(records) == len(rec.deliveries) > 1
+        assert all(type(d) is Delivery and type(d.delivered) is bool for d in records)
+        assert rec.deliveries == records == Deliveries(records)
+        assert hash(rec.deliveries) == hash(records) and hash(rec) == hash(replace(rec))
+        changed = records[:-1] + (records[-1]._replace(hop_count=records[-1].hop_count + 1),)
+        assert rec.deliveries != changed and rec.deliveries != Deliveries(changed)
+        assert Deliveries() == () and len(Deliveries()) == 0
+        assert parse_trace_lines(trace_lines(trace)) == trace.rounds
 
 
 class TestFunnellingContrast:

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import simoco
 from simoco import (
+    Deliveries,
     Delivery,
     MatrixRow,
     MetricsReport,
@@ -25,7 +31,7 @@ SINKS = tuple(Position(0.0, 0.0) for _ in range(4))
 
 
 def round_rec(idx, deliveries=(), deaths=()):
-    return RoundRecord(idx, SINKS, tuple(deliveries), tuple(deaths))
+    return RoundRecord(idx, SINKS, Deliveries(deliveries), tuple(deaths))
 
 
 def fake_trace(rounds, neighbor_sets=None):
@@ -172,6 +178,15 @@ class TestExperimentMatrix:
         seq = run_experiment_matrix(base, sizes=[10, 20], seeds=[1, 2], max_workers=1)
         par = run_experiment_matrix(base, sizes=[10, 20], seeds=[1, 2], max_workers=2)
         assert seq == par
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only a parallel matrix needs it, and it takes about 20 ms to import
+        code = ("import sys, simoco, simoco.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        src = str(Path(simoco.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_failed_cell_reported_not_fatal(self, monkeypatch):
         base = ScenarioConfig(n=10, base_n=10, initial_energy=0.002, max_rounds=100)
