@@ -135,15 +135,12 @@ class Deliveries:
     hop_count = property(lambda self: memoryview(self._hop_count).cast("q"))
     energy = property(lambda self: memoryview(self._energy).cast("d"))
 
-    def rows(self) -> Iterable[tuple[int, int, float, bool]]:
-        """The records as plain tuples, in order."""
-        return zip(self.source, self.hop_count, self.energy, map(bool, self.delivered))
-
     def __len__(self) -> int:
         return len(self.delivered)
 
     def __iter__(self):
-        return map(Delivery._make, self.rows())
+        columns = self.source, self.hop_count, self.energy, map(bool, self.delivered)
+        return map(Delivery._make, zip(*columns))
 
     def __eq__(self, other):
         return tuple(self) == (tuple(other) if isinstance(other, Deliveries) else other)
@@ -152,7 +149,7 @@ class Deliveries:
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     round_index: int
     sink_positions: tuple[Position, ...]
@@ -197,7 +194,8 @@ class _PartitionState:
     def dist_field_at(self, pos_idx: int) -> SinkField:
         df = self.dist_fields.get(pos_idx)
         if df is None:
-            df = sink_distance_field(self.graph, self.cycle[pos_idx])
+            df = sink_distance_field(self.graph, self.cycle[pos_idx],
+                                     self.assigned_members[pos_idx])
             self.dist_fields[pos_idx] = df
         return df
 
@@ -333,16 +331,26 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
 
 def trace_lines(trace: SimulationTrace) -> list[str]:
-    """Newline-delimited trace export, one JSON object per round."""
+    """Newline-delimited trace export, one JSON object per round, as
+    `json.dumps` writes it: a trace holds no NaN or Infinity, so a float's
+    text is its `repr`. A record equal to its source's latest one, as in a
+    mobile backlog, reuses that text. A dropped record's `0.0` never meets
+    a `-0.0`: a delivered record's energy is a sum of positive costs."""
+    latest: dict[int, tuple[tuple, str]] = {}  # source -> (its last record, that record's text)
     lines = []
     for rec in trace.rounds:
-        obj = {
-            "round": rec.round_index,
-            "sinks": [[p.x, p.y] for p in rec.sink_positions],
-            "deliveries": list(rec.deliveries.rows()),
-            "deaths": list(rec.deaths),
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        d = rec.deliveries
+        texts = []
+        for row in zip(d.source, d.hop_count, d.energy, d.delivered):
+            hit = latest.get(row[0])
+            if hit is None or hit[0] != row:
+                s, h, e, ok = row
+                hit = latest[s] = row, f"[{s},{h},{e!r},{'true' if ok else 'false'}]"
+            texts.append(hit[1])
+        sinks = json.dumps([[p.x, p.y] for p in rec.sink_positions], separators=(",", ":"))
+        deaths = json.dumps(list(rec.deaths), separators=(",", ":"))
+        lines.append(f'{{"round":{rec.round_index},"sinks":{sinks},'
+                     f'"deliveries":[{",".join(texts)}],"deaths":{deaths}}}')
     return lines
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import NetworkField, Position
 from .partitioning import Partition
@@ -53,9 +53,9 @@ class Route(NamedTuple):
 
 
 class SinkField(NamedTuple):
-    """One sink position's routing state until a node dies: each reaching
-    node's hop count, each in-range node's one-hop route, and, filled on
-    first use, each node's `(neighbor, tx cost)` pairs one hop closer."""
+    """One sink position's routing state until a node dies: the hop counts
+    `sink_distance_field` found, each in-range node's one-hop route, and,
+    filled on first use, each node's `(neighbor, tx cost)` pairs one hop closer."""
 
     hops: dict[int, int]
     direct: dict[int, Route]
@@ -104,9 +104,15 @@ def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
         del graph.adjacency[other][node_id]
 
 
-def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> SinkField:
-    """Hop distance to a sink at `sink_pos` for every node that can reach it
-    (BFS); the nodes within comm_range of the sink are one hop away."""
+def sink_distance_field(
+    graph: ConnectivityGraph, sink_pos: Position, targets: Optional[Iterable[int]] = None
+) -> SinkField:
+    """Hop distance to a sink at `sink_pos` (BFS); the nodes within
+    comm_range of the sink are one hop away. The search stops once every
+    alive node of `targets` (default: all) that can reach the sink has its
+    hop count; by then every node closer than a target has one too, so the
+    targets' routes are those of a full search. A mobile sink's targets are
+    all in its one-hop ring."""
     nodes, r, adjacency = graph.field.nodes, graph.field.comm_range, graph.adjacency
     hops, direct = {}, {}
     queue: deque[int] = deque()
@@ -116,19 +122,22 @@ def sink_distance_field(graph: ConnectivityGraph, sink_pos: Position) -> SinkFie
             hops[node_id] = 1
             direct[node_id] = Route((node_id,), (tx_energy(graph.model, d),))
             queue.append(node_id)
-    while queue:
+    pending = {v for v in (adjacency if targets is None else targets)
+               if v in adjacency and v not in hops}
+    while queue and pending:
         u = queue.popleft()
         du = hops[u] + 1
         for v in adjacency[u]:
             if v not in hops:
                 hops[v] = du
                 queue.append(v)
+                pending.discard(v)
     return SinkField(hops, direct, {})
 
 
 def min_hop_route(graph: ConnectivityGraph, source: int, sink_field: SinkField) -> Optional[Route]:
     """Fewest-hop route from source to the sink of `sink_field`, or None when
-    unreachable; one `sink_distance_field` serves every source of a round.
+    unreachable; one `sink_distance_field` serves each of its targets.
     Each `closer` list ascends by id, as `build_graph` fills adjacency in id
     order and `remove_node` keeps it, so the first richest is the lowest id."""
     hops, direct, closer = sink_field

@@ -48,7 +48,11 @@ FAULTS = [
     ("_fold ignores the delivered column", "metrics.py",
      "            if ok:", "            if True:"),
     ("delivered column exported as 0 and 1", "engine.py",
-     "map(bool, self.delivered)", "self.delivered"),
+     "{'true' if ok else 'false'}", "{ok}"),
+    ("export reuses a record's text on its source alone", "engine.py",
+     "if hit is None or hit[0] != row:", "if hit is None:"),
+    ("sink BFS stops before labelling its last target", "routing.py",
+     "while queue and pending:", "while queue and len(pending) > 1:"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""A naive reference engine, the differential oracle for `simoco.engine`.
+"""A naive reference engine, the differential oracle for `simoco.engine`,
+and a naive trace writer, the oracle for `simoco.trace_lines`.
 
 It is written from the docstrings of `engine` and `routing` and keeps no
 cache and no fast path. For every packet it rebuilds the partition's graph
@@ -10,6 +11,7 @@ tour walk are shared with the engine; each sink's cycle, an idle sink's
 quadrant centre and the position serving each node are computed here.
 """
 
+import json
 import math
 import random
 from collections import deque
@@ -147,3 +149,17 @@ def run_reference(config):
             break
     tours = [SojournTour(k, cycle[0], cycle[1:]) for k, cycle in enumerate(cycles)]
     return replace(setup, tours=tours, rounds=rounds)
+
+
+def reference_trace_lines(trace):
+    """The trace export as `json.dumps` of one dict per round, with no record
+    text reused: what `trace_lines` must write byte for byte."""
+    return [
+        json.dumps({
+            "round": rec.round_index,
+            "sinks": [[p.x, p.y] for p in rec.sink_positions],
+            "deliveries": [list(d) for d in rec.deliveries],
+            "deaths": list(rec.deaths),
+        }, separators=(",", ":"))
+        for rec in trace.rounds
+    ]

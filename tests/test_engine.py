@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import simoco.engine as engine
 import simoco.metrics as metrics
+from reference import reference_trace_lines
 from simoco import (
     Deliveries,
     Delivery,
@@ -145,7 +146,9 @@ def test_accepted_config_runs_to_finite_output(kw):
     except ValueError:
         return
     trace = run_scenario(config)
-    for line in trace_lines(trace):
+    lines = trace_lines(trace)
+    assert lines == reference_trace_lines(trace)
+    for line in lines:
         json.loads(line, parse_constant=_reject_constant)
     report = compute_report(trace)
     row = metrics._run_cell(config)
@@ -386,6 +389,13 @@ class TestDeliveryColumns:
         assert rec.deliveries != changed and rec.deliveries != Deliveries(changed)
         assert Deliveries() == () and len(Deliveries()) == 0
         assert parse_trace_lines(trace_lines(trace)) == trace.rounds
+
+    def test_round_record_is_slotted_frozen_and_hashable(self):
+        rec = run_scenario(small(n=10, seed=1, max_rounds=2)).rounds[0]
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            rec.round_index = 5
+        assert hash(rec) == hash(replace(rec)) and rec == replace(rec)
 
 
 class TestFunnellingContrast:

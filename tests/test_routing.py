@@ -103,6 +103,48 @@ class TestMinHopRoute:
                     assert route.hop_count == expected
 
 
+class TestFieldForTargets:
+    """A field built for some targets stops its search once they are all
+    labelled; each reachable target keeps its full-search hop count and route."""
+
+    def test_ladder_with_an_unreachable_target(self):
+        # two relays per level along x = 20, 50, ..., 140 away from a sink at the
+        # origin, so hop counts run 1 to 5; node 10 is out of everyone's range
+        points = [(20 + 30 * (i // 2), 15 * (i % 2)) for i in range(10)] + [(400, 400)]
+        field, g, sink = graph_for(points, (0, 0), comm_range=40.0)
+        rng = random.Random(7)
+        for node in field.nodes:  # unequal energies, so each relay choice matters
+            node.energy = rng.uniform(0.1, 0.5)
+        full = sink_distance_field(g, sink)
+        assert full.hops == {i: 1 + i // 2 for i in range(10)}
+        for targets in ([4], [9], [4, 10], [0, 1], [3, 8], list(g.adjacency)):
+            part = sink_distance_field(g, sink, targets)
+            for t in targets:
+                assert part.hops.get(t) == full.hops.get(t)
+                assert min_hop_route(g, t, part) == min_hop_route(g, t, full)
+        assert sink_distance_field(g, sink, [0, 1]).hops == {0: 1, 1: 1}  # the ring alone
+        assert len(sink_distance_field(g, sink, [4]).hops) < len(full.hops)
+        assert sink_distance_field(g, sink, [4, 10]).hops == full.hops  # 10 is never found
+
+    def test_random_targets_route_as_in_a_full_search(self):
+        rng = random.Random(2025)
+        for _ in range(30):
+            n = rng.randint(2, 25)
+            side = rng.uniform(50, 250)
+            pts = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+            field = make_field(pts, comm_range=rng.uniform(20, 80), side=side)
+            for node in field.nodes:
+                node.energy = rng.choice([0.1, 0.2, rng.uniform(0.1, 0.5)])
+            sink = Position(rng.uniform(0, side), rng.uniform(0, side))
+            g = build_graph(field, whole_field_partition(field), MODEL)
+            full = sink_distance_field(g, sink)
+            targets = rng.sample(range(n), rng.randint(1, n))
+            part = sink_distance_field(g, sink, targets)
+            for t in targets:
+                assert part.hops.get(t) == full.hops.get(t)
+                assert min_hop_route(g, t, part) == min_hop_route(g, t, full)
+
+
 class TestRadioEnergy:
     def test_tx_at_ten_meters(self):
         assert tx_energy(MODEL, 10) == pytest.approx(1.2e-4, rel=1e-12)
