@@ -18,9 +18,11 @@ random.Random(seed), traffic sampling uses random.Random(f"traffic:{seed}").
 Identical configs therefore produce bit-identical traces.
 
 A run ends at max_rounds, when every node is dead, or as soon as every
-partition has gone one full sink cycle without a delivery or a death; from
-such a state the simulation is provably periodic with no further energy
-spend, so nothing observable would ever change.
+partition has gone one full sink cycle without a delivery or a death, every
+alive node sending each round; from such a state the simulation is provably
+periodic with no further energy spend, so nothing observable would ever
+change. A round that samples fewer sources than there are alive nodes
+restarts that count: a node left out may still reach its sink later.
 """
 
 from __future__ import annotations
@@ -322,8 +324,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
         rounds.append(RoundRecord(round_index, sink_positions, Deliveries(deliveries), tuple(deaths)))
 
+        sampled = len(sources) < len(alive_ids)  # a quiet round then proves nothing
         for state, active in zip(states, activity):
-            state.quiet = 0 if active else state.quiet + 1
+            state.quiet = 0 if active or sampled else state.quiet + 1
         if all(state.quiet >= len(state.cycle) for state in states):
             break
 

@@ -144,7 +144,10 @@ def run_reference(config):
                 active[part_of[u]] = True
         rounds.append(RoundRecord(round_index, sinks, Deliveries(deliveries), tuple(deaths)))
 
-        quiet = [0 if a else q + 1 for q, a in zip(quiet, active)]
+        if len(sources) < len(alive):  # a node left out may still send later
+            quiet = [0] * 4
+        else:
+            quiet = [0 if a else q + 1 for q, a in zip(quiet, active)]
         if all(q >= len(cycle) for q, cycle in zip(quiet, cycles)):
             break
     tours = [SojournTour(k, cycle[0], cycle[1:]) for k, cycle in enumerate(cycles)]

@@ -236,6 +236,15 @@ class TestRunScenario:
                 sampled = run_scenario(replace(config, sources_per_round=count))
                 assert trace_lines(sampled) == expected
 
+    def test_sampled_traffic_outlasts_a_quiet_round(self):
+        # one sampled source a round: a round whose source cannot reach its
+        # sink is quiet, yet 54 of these 100 nodes can still reach theirs
+        config = ScenarioConfig(n=100, comm_range=25.0, sources_per_round=1, max_rounds=50)
+        trace = run_scenario(config)
+        assert len(trace.rounds) == 50
+        assert all(node.alive for node in trace.field.nodes)
+        assert sum(len(rec.deliveries) for rec in trace.rounds) > 0
+
     def test_empty_buffers_make_mobile_identical_to_static(self):
         # n=8 under default scaling gives a 56.6 m field whose quadrants fit
         # inside one comm disk, so every tour degenerates to the placement

@@ -31,8 +31,8 @@ CASES["tour"] = ["tour", "--nodes", "60", "--seed", "3", "--range", "25"]
 OUTPUT_DIGESTS = {
     "run-static-all_nodes_each_round-s1": "56051f4b110df60a07d3adf9e6b6326707a21ad2ebb559613642c88b30f322cd",
     "run-static-all_nodes_each_round-s2": "d81bc7929ea624022075c23941ed9e9141c64c793a3f325cc5b38f09a92e6b0b",
-    "run-static-random_sources-s1": "0dc4ca92cab875e54b50abc88308aff8a9979b278271dffe7839b5cef2cb88c2",
-    "run-static-random_sources-s2": "9e2b58f324c0f0f1e1bf975594549efa57b24621af2006e406c0d1a96f4cfdcc",
+    "run-static-random_sources-s1": "aa8456f6cbd6d52ada13b357e59b488053b2d344a685597f82ffcb85ad332849",
+    "run-static-random_sources-s2": "0686905ae7dfaa72bf98429f84babfa41ce1cbfd0402d199cb9b5ab636fbeb24",
     "run-mobile-all_nodes_each_round-s1": "39e527f72af2e8120223c15e415dbfee72f69683637e7d81331c58127b0a9358",
     "run-mobile-all_nodes_each_round-s2": "951e203477cabedaf40957f4ee0f6124467a843bf198090db784748611f84311",
     "run-mobile-random_sources-s1": "b8e6a5d4a87aa96a70d9f01b915325d097a720cc133c5c92fdfeadce5a612e54",
@@ -44,8 +44,8 @@ OUTPUT_DIGESTS = {
 REPORT_DIGESTS = {
     "run-static-all_nodes_each_round-s1": "a7b14aec187ee2eab68c6e6abf15165fd749fb7aff65e5b6f95204a3ed39f0a4",
     "run-static-all_nodes_each_round-s2": "e3a701b17ecab8212f1ad66236db6117a1c3c2124206f3f56cc404a88c9cfaba",
-    "run-static-random_sources-s1": "747ff5d8977a81623cf4315d81b70dfcc851324d91e00faa07c6f8f62ddd5d74",
-    "run-static-random_sources-s2": "70b562e9762b20765a5612ba11adb36a5109fd8988a08eee08972d84dccf872e",
+    "run-static-random_sources-s1": "05c35bf718e05c14ba74c99b15aba85483b04b3891d692a4e698e8ae1a9bb6a9",
+    "run-static-random_sources-s2": "a9d4bf1c101bc19fd47aeb7e976a69ceae0c2574e1e8a6528d1d037e465f7c7c",
     "run-mobile-all_nodes_each_round-s1": "34a7f5a46fe11d2161bf062fb42c86a7848c7f1938902e790c67e66fcf653f3e",
     "run-mobile-all_nodes_each_round-s2": "03d933982dc6ca84907c9ca33604919b07f792954e7c198967b593bc26da0059",
     "run-mobile-random_sources-s1": "df33fdde099ceef07e374741dc9ce92213511ccebf0ff38f1a17fbb765d87940",
