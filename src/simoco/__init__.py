@@ -16,7 +16,6 @@ from .engine import (
     ScenarioConfig,
     SimulationTrace,
     deploy,
-    parse_trace_lines,
     run_scenario,
     trace_lines,
 )
@@ -26,7 +25,6 @@ from .metrics import (
     compute_report,
     emit_csv,
     mean_over_seeds,
-    report_from_export,
     run_experiment_matrix,
 )
 from .mobility import (
@@ -51,50 +49,3 @@ from .routing import (
     sink_distance_field,
     tx_energy,
 )
-
-__all__ = [
-    "CoverageBufferEntry",
-    "ConnectivityGraph",
-    "Deliveries",
-    "Delivery",
-    "DeliveryRecord",
-    "MatrixRow",
-    "MetricsReport",
-    "NetworkField",
-    "Partition",
-    "Position",
-    "RadioEnergyModel",
-    "RoundRecord",
-    "Route",
-    "ScenarioConfig",
-    "SensorNode",
-    "SimulationTrace",
-    "SinkPlacement",
-    "SojournTour",
-    "build_coverage_buffer",
-    "build_graph",
-    "centroid",
-    "cnp_initial_sink_position",
-    "cnp_iterates",
-    "compute_report",
-    "deliver_packet",
-    "deploy",
-    "emit_csv",
-    "generate_network",
-    "generate_tour",
-    "mean_over_seeds",
-    "min_hop_route",
-    "next_sojourn_point",
-    "one_hop_neighbors",
-    "parse_trace_lines",
-    "quadrant_index",
-    "quadrant_partition",
-    "report_from_export",
-    "run_experiment_matrix",
-    "run_scenario",
-    "rx_energy",
-    "sink_distance_field",
-    "tour_export_lines",
-    "trace_lines",
-    "tx_energy",
-]

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .engine import MODES, RoundRecord, ScenarioConfig, SimulationTrace, deploy, run_scenario
+from .engine import MODES, RoundRecord, ScenarioConfig, SimulationTrace, run_scenario
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ def _fold(rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]
     first_death = None
     death_round: dict[int, int] = {}
     for rec in rounds:
-        records = rec.deliveries
-        for ok, cost, hop_count in zip(records.delivered, records.energy, records.hop_count):
+        for _, hop_count, cost, ok in rec.deliveries.rows():
             if ok:
                 energy += cost
                 hops += hop_count
@@ -71,16 +70,6 @@ def _fold(rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]
 
 def compute_report(trace: SimulationTrace) -> MetricsReport:
     return _fold(trace.rounds, trace.initial_neighbor_sets)
-
-
-def report_from_export(config: ScenarioConfig, rounds: list[RoundRecord]) -> MetricsReport:
-    """Recompute the full report from an exported trace plus its config.
-
-    The per-round export carries everything except the initial neighbor
-    sets, which are rebuilt by replaying the deterministic setup from the
-    config.
-    """
-    return _fold(rounds, deploy(config).initial_neighbor_sets)
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,15 @@ FAULTS = [
      'elif config.mode == "mobile":', 'elif config.mode != "mobile":'),
     ("idle sink off the quadrant centre", "engine.py",
      "(b.x_min + b.x_max) / 2.0", "b.x_min"),
-    ("delivery columns transposed with source and hop_count swapped", "engine.py",
-     "source, hop_count, energy, delivered = tuple(zip(",
-     "hop_count, source, energy, delivered = tuple(zip("),
-    ("_fold ignores the delivered column", "metrics.py",
+    ("delivery energy packed as float32", "engine.py",
+     'struct.Struct("<qqd?")', 'struct.Struct("<qqf?")'),
+    ("_fold reads a record's energy and hop_count swapped", "metrics.py",
+     "for _, hop_count, cost, ok in", "for _, cost, hop_count, ok in"),
+    ("export reads a record's source and hop_count swapped", "engine.py",
+     "s, h, e, ok = row", "h, s, e, ok = row"),
+    ("_fold ignores the delivered flag", "metrics.py",
      "            if ok:", "            if True:"),
-    ("delivered column exported as 0 and 1", "engine.py",
+    ("delivered flag exported as 0 and 1", "engine.py",
      "{'true' if ok else 'false'}", "{ok}"),
     ("export reuses a record's text on its source alone", "engine.py",
      "if hit is None or hit[0] != row:", "if hit is None:"),

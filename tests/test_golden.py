@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of CLI outputs and of reports rebuilt from traces.
+"""Golden SHA-256 digests of CLI outputs and of the reports of the `run` cases.
 
 The digests pin the simulator's output bytes, so a refactor that changes
 one trace, CSV, tour or report byte fails here. Regenerate them only for an intended behaviour
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from simoco import ScenarioConfig, parse_trace_lines, report_from_export
+from simoco import ScenarioConfig, compute_report, run_scenario
 from simoco.cli import main
 
 CASES = {
@@ -69,8 +69,8 @@ def cli_output(argv) -> bytes:
         return out.read_bytes()
 
 
-def export_report(argv):
-    """The report rebuilt from a `run` trace plus the config it came from."""
+def run_report(argv):
+    """The report of the scenario a `run` case simulates."""
     flags = dict(zip(argv[1::2], argv[2::2]))
     sources = flags.get("--sources")
     config = ScenarioConfig(
@@ -79,7 +79,7 @@ def export_report(argv):
         max_rounds=int(flags["--rounds"]),
         sources_per_round=int(sources) if sources is not None else None,
     )
-    return report_from_export(config, parse_trace_lines(cli_output(argv).decode().splitlines()))
+    return compute_report(run_scenario(config))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -89,4 +89,4 @@ def test_cli_output_digest(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("run-")))
 def test_report_from_export_digest(name):
-    assert _sha(repr(export_report(CASES[name])).encode()) == REPORT_DIGESTS[name]
+    assert _sha(repr(run_report(CASES[name])).encode()) == REPORT_DIGESTS[name]

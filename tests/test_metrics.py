@@ -19,11 +19,8 @@ from simoco import (
     deploy,
     emit_csv,
     mean_over_seeds,
-    parse_trace_lines,
-    report_from_export,
     run_experiment_matrix,
     run_scenario,
-    trace_lines,
 )
 import simoco.metrics as metrics_module
 
@@ -132,15 +129,6 @@ class TestMetricOps:
         report = compute_report(trace)
         assert report.packets_delivered == 1
         assert report.avg_hop_count == 1.0
-
-
-class TestReportFromExport:
-    @pytest.mark.parametrize("mode", ["static", "mobile"])
-    def test_matches_in_memory_report(self, mode):
-        config = ScenarioConfig(mode=mode, n=30, seed=6, initial_energy=0.02, max_rounds=3000)
-        trace = run_scenario(config)
-        parsed = parse_trace_lines(trace_lines(trace))
-        assert report_from_export(config, parsed) == compute_report(trace)
 
 
 class TestExperimentMatrix:
