@@ -17,12 +17,10 @@ All randomness flows from the scenario seed: deployment uses
 random.Random(seed), traffic sampling uses random.Random(f"traffic:{seed}").
 Identical configs therefore produce bit-identical traces.
 
-A run ends at max_rounds, when every node is dead, or as soon as every
-partition has gone one full sink cycle without a delivery or a death, every
-alive node sending each round; from such a state the simulation is provably
-periodic with no further energy spend, so nothing observable would ever
-change. A round that samples fewer sources than there are alive nodes
-restarts that count: a node left out may still reach its sink later.
+A partition is quiet in a round with no delivery, no death and no served
+member that its current sink position reaches. A run ends at max_rounds,
+when every node is dead, or once every partition has been quiet for a full
+sink cycle, after which no member can ever send and nothing can change.
 """
 
 from __future__ import annotations
@@ -171,7 +169,9 @@ class SimulationTrace:
 
 class _PartitionState:
     """Mutable runtime of one partition, an empty one included: sink cycle,
-    connectivity graph, per-position distance fields, service schedule."""
+    connectivity graph, and per position a distance field and the members it
+    serves, which each new field prunes to those it reached: the graph only
+    loses nodes and a position never moves, so the rest can never send."""
 
     __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
 
@@ -195,9 +195,10 @@ class _PartitionState:
     def dist_field_at(self, pos_idx: int) -> SinkField:
         df = self.dist_fields.get(pos_idx)
         if df is None:
-            df = sink_distance_field(self.graph, self.cycle[pos_idx],
-                                     self.assigned_members[pos_idx])
-            self.dist_fields[pos_idx] = df
+            members = self.assigned_members[pos_idx]
+            df = self.dist_fields[pos_idx] = sink_distance_field(
+                self.graph, self.cycle[pos_idx], members)
+            self.assigned_members[pos_idx] = tuple(m for m in members if m in df.hops)
         return df
 
     def on_death(self, node_id: int) -> None:
@@ -287,19 +288,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
         for k, state in enumerate(states):
             pos_idx = pos_indices[k]
-            ready = [
-                node_id
-                for node_id in state.assigned_members[pos_idx]
-                if nodes[node_id].alive and backlog[node_id] > 0
-            ]
-            if not ready:
-                continue
             graph, dist = state.graph, state.dist_field_at(pos_idx)
-            for source in ready:
-                node = nodes[source]
-                while node.alive and backlog[source] > 0:
-                    if source not in dist.hops:
-                        break  # unreachable this round: sends nothing, pays nothing
+            # a fresh field holds only alive, reachable nodes, and every death refreshes it
+            for source in state.assigned_members[pos_idx]:
+                while backlog[source] > 0 and source in dist.hops:
                     route = min_hop_route(graph, source, dist)
                     energy, delivered, died, underpowered = deliver_packet(field, model, route)
                     backlog[source] -= 1
@@ -323,9 +315,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
         rounds.append(RoundRecord(round_index, sink_positions, Deliveries(deliveries), tuple(deaths)))
 
-        sampled = len(sources) < len(alive_ids)  # a quiet round then proves nothing
-        for state, active in zip(states, activity):
-            state.quiet = 0 if active or sampled else state.quiet + 1
+        for state, active, j in zip(states, activity, pos_indices):
+            state.quiet = 0 if active or state.assigned_members[j] else state.quiet + 1
         if all(state.quiet >= len(state.cycle) for state in states):
             break
 

@@ -105,14 +105,14 @@ def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
 
 
 def sink_distance_field(
-    graph: ConnectivityGraph, sink_pos: Position, targets: Optional[Iterable[int]] = None
+    graph: ConnectivityGraph, sink_pos: Position, targets: Iterable[int]
 ) -> SinkField:
     """Hop distance to a sink at `sink_pos` (BFS); the nodes within
     comm_range of the sink are one hop away. The search stops once every
-    alive node of `targets` (default: all) that can reach the sink has its
-    hop count; by then every node closer than a target has one too, so the
-    targets' routes are those of a full search. A mobile sink's targets are
-    all in its one-hop ring."""
+    alive node of `targets` that can reach the sink has its hop count; by
+    then every node closer than a target has one too, so the targets'
+    routes are those of a full search, and a target left out cannot reach
+    the sink. A mobile sink's targets are all in its one-hop ring."""
     nodes, r, adjacency = graph.field.nodes, graph.field.comm_range, graph.adjacency
     hops, direct = {}, {}
     queue: deque[int] = deque()
@@ -122,8 +122,7 @@ def sink_distance_field(
             hops[node_id] = 1
             direct[node_id] = Route((node_id,), (tx_energy(graph.model, d),))
             queue.append(node_id)
-    pending = {v for v in (adjacency if targets is None else targets)
-               if v in adjacency and v not in hops}
+    pending = {v for v in targets if v in adjacency and v not in hops}
     while queue and pending:
         u = queue.popleft()
         du = hops[u] + 1

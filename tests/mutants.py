@@ -56,6 +56,12 @@ FAULTS = [
      "if hit is None or hit[0] != row:", "if hit is None:"),
     ("sink BFS stops before labelling its last target", "routing.py",
      "while queue and pending:", "while queue and len(pending) > 1:"),
+    ("served members pruned to the one-hop ring", "engine.py",
+     "if m in df.hops)", "if m in df.direct)"),
+    ("quiet count ignores the served members", "engine.py",
+     "0 if active or state.assigned_members[j] else", "0 if active else"),
+    ("serving loop drops its reachability guard", "engine.py",
+     "while backlog[source] > 0 and source in dist.hops:", "while backlog[source] > 0:"),
 ]
 
 

@@ -144,10 +144,10 @@ def run_reference(config):
                 active[part_of[u]] = True
         rounds.append(RoundRecord(round_index, sinks, Deliveries(deliveries), tuple(deaths)))
 
-        if len(sources) < len(alive):  # a node left out may still send later
-            quiet = [0] * 4
-        else:
-            quiet = [0 if a else q + 1 for q, a in zip(quiet, active)]
+        for k in range(4):  # quiet: no delivery, no death, no member that can still send
+            reach = hops_to_sink(field, alive_graph(field, members[k]), sinks[k])
+            served = any(u in reach for u in members[k] if serve_at[u] == at[k])
+            quiet[k] = 0 if active[k] or served else quiet[k] + 1
         if all(q >= len(cycle) for q, cycle in zip(quiet, cycles)):
             break
     tours = [SojournTour(k, cycle[0], cycle[1:]) for k, cycle in enumerate(cycles)]

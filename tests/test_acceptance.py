@@ -221,7 +221,7 @@ def test_criterion_9_route_optimality_oracle():
         sink = Position(rng.uniform(0, side), rng.uniform(0, side))
         graph = build_graph(field, whole_field_partition(field), RadioEnergyModel())
         oracle = floyd_warshall_hops(graph, sink)
-        dist = sink_distance_field(graph, sink)
+        dist = sink_distance_field(graph, sink, graph.adjacency)
         for source in sorted(graph.adjacency):
             route = min_hop_route(graph, source, dist)
             expected = oracle[source][SINK]

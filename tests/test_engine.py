@@ -244,6 +244,16 @@ class TestRunScenario:
         assert all(node.alive for node in trace.field.nodes)
         assert sum(len(rec.deliveries) for rec in trace.rounds) > 0
 
+    def test_sampled_run_ends_once_no_served_member_can_send(self):
+        # one sampled source a round; the last delivery and death come at round
+        # 161, and none of the 6 nodes left alive can reach its sink after that,
+        # so round 162 is quiet in every partition (each has a one-position cycle)
+        config = ScenarioConfig(mode="static", n=20, comm_range=20.0, initial_energy=0.001,
+                                seed=1, sources_per_round=1, max_rounds=2000)
+        trace = run_scenario(config)
+        assert len(trace.rounds) == 162
+        assert sum(node.alive for node in trace.field.nodes) == 6
+
     def test_empty_buffers_make_mobile_identical_to_static(self):
         # n=8 under default scaling gives a 56.6 m field whose quadrants fit
         # inside one comm disk, so every tour degenerates to the placement

@@ -28,6 +28,10 @@ tiny = scenario_strategy(
 # node 6 leaves relay 14 at exactly the death threshold; it stays alive then
 @example(ScenarioConfig(n=16, seed=17, comm_range=20.0, initial_energy=0.002095463969534062,
                         max_rounds=30))
+# sampled static traffic: the run ends at round 162, once none of the 6 nodes
+# left alive can reach its sink
+@example(ScenarioConfig(mode="static", n=20, comm_range=20.0, initial_energy=0.001, seed=1,
+                        sources_per_round=1, max_rounds=2000))
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_reference(config):
     trace = run_scenario(config)

@@ -29,7 +29,7 @@ class TestBuildGraph:
     def test_path_topology(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
         assert {u: set(vs) for u, vs in g.adjacency.items()} == {0: {1}, 1: {0, 2}, 2: {1}}
-        assert sink_distance_field(g, sink).hops == {2: 1, 1: 2, 0: 3}
+        assert sink_distance_field(g, sink, g.adjacency).hops == {2: 1, 1: 2, 0: 3}
 
     def test_all_dead_leaves_sink_only(self):
         field = make_field([(0, 0), (10, 0)], side=100)
@@ -37,7 +37,7 @@ class TestBuildGraph:
             node.alive = False
         g = build_graph(field, whole_field_partition(field), MODEL)
         assert g.adjacency == {}
-        assert sink_distance_field(g, Position(0, 0)).hops == {}
+        assert sink_distance_field(g, Position(0, 0), g.adjacency).hops == {}
 
     def test_coincident_nodes_adjacent(self):
         _, g, _ = graph_for([(5, 5), (5, 5)], (200, 200))
@@ -48,25 +48,25 @@ class TestBuildGraph:
 class TestMinHopRoute:
     def test_forced_three_hop_path(self):
         _, g, sink = graph_for([(0, 0), (40, 0), (80, 0)], (120, 0))
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         assert route.path == (0, 1, 2)
         assert route.hop_count == 3
 
     def test_direct_hop(self):
         _, g, sink = graph_for([(10, 0)], (0, 0))
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         assert route.path == (0,)
         assert route.hop_count == 1
 
     def test_disconnected_source_unreachable(self):
         _, g, sink = graph_for([(0, 0), (300, 300)], (310, 300))
-        assert min_hop_route(g, 0, sink_distance_field(g, sink)) is None
+        assert min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency)) is None
 
     def test_dead_or_unknown_source_rejected(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
-        assert min_hop_route(g, 99, sink_distance_field(g, sink)) is None
+        assert min_hop_route(g, 99, sink_distance_field(g, sink, g.adjacency)) is None
         field.nodes[0].alive = False
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         with pytest.raises(ValueError, match="stale route"):
             deliver_packet(field, MODEL, route)
 
@@ -75,13 +75,13 @@ class TestMinHopRoute:
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 0.2
         field.nodes[2].energy = 0.3
-        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 2)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency)).path == (0, 2)
         field.nodes[1].energy = 0.5
-        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 1)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency)).path == (0, 1)
 
     def test_equal_energy_tie_break_prefers_lower_id(self):
         _, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
-        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 1)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency)).path == (0, 1)
 
     def test_hop_counts_match_exhaustive_search(self):
         rng = random.Random(2024)
@@ -93,7 +93,7 @@ class TestMinHopRoute:
             sink = Position(rng.uniform(0, side), rng.uniform(0, side))
             g = build_graph(field, whole_field_partition(field), MODEL)
             oracle = floyd_warshall_hops(g, sink)
-            dist = sink_distance_field(g, sink)
+            dist = sink_distance_field(g, sink, g.adjacency)
             for source in sorted(g.adjacency):
                 route = min_hop_route(g, source, dist)
                 expected = oracle[source][SINK]
@@ -115,7 +115,7 @@ class TestFieldForTargets:
         rng = random.Random(7)
         for node in field.nodes:  # unequal energies, so each relay choice matters
             node.energy = rng.uniform(0.1, 0.5)
-        full = sink_distance_field(g, sink)
+        full = sink_distance_field(g, sink, g.adjacency)
         assert full.hops == {i: 1 + i // 2 for i in range(10)}
         for targets in ([4], [9], [4, 10], [0, 1], [3, 8], list(g.adjacency)):
             part = sink_distance_field(g, sink, targets)
@@ -137,7 +137,7 @@ class TestFieldForTargets:
                 node.energy = rng.choice([0.1, 0.2, rng.uniform(0.1, 0.5)])
             sink = Position(rng.uniform(0, side), rng.uniform(0, side))
             g = build_graph(field, whole_field_partition(field), MODEL)
-            full = sink_distance_field(g, sink)
+            full = sink_distance_field(g, sink, g.adjacency)
             targets = rng.sample(range(n), rng.randint(1, n))
             part = sink_distance_field(g, sink, targets)
             for t in targets:
@@ -172,7 +172,7 @@ class TestRadioEnergy:
 class TestDeliverPacket:
     def test_single_hop_sink_receives_free(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         record = deliver_packet(field, MODEL, route)
         assert record.delivered
         assert route.hop_count == 1
@@ -181,7 +181,7 @@ class TestDeliverPacket:
 
     def test_relay_pays_rx_plus_tx(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         record = deliver_packet(field, MODEL, route)
         assert route.hop_count == 2
         assert record.total_energy == pytest.approx(3.4e-4, rel=1e-12)
@@ -191,7 +191,7 @@ class TestDeliverPacket:
     def test_exact_exhaustion_marks_dead(self):
         field, g, sink = graph_for([(0, 0)], (10, 0))
         field.nodes[0].energy = tx_energy(MODEL, 10.0)
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         record = deliver_packet(field, MODEL, route)
         assert record.delivered
         assert field.nodes[0].energy == 0.0
@@ -200,7 +200,7 @@ class TestDeliverPacket:
 
     def test_stale_route_rejected(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         field.nodes[1].alive = False
         with pytest.raises(ValueError, match="stale route"):
             deliver_packet(field, MODEL, route)
@@ -208,7 +208,7 @@ class TestDeliverPacket:
     def test_insufficient_energy_drops_packet_without_deduction(self):
         field, g, sink = graph_for([(0, 0), (10, 0)], (20, 0), comm_range=12)
         field.nodes[1].energy = 1.5e-4  # relay needs rx + tx ~ 2.2e-4
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         record = deliver_packet(field, MODEL, route)
         assert not record.delivered
         assert record.total_energy == 0.0
@@ -225,7 +225,7 @@ class TestDeliverPacket:
         spent = 0.0
         before = sum(node.energy for node in field.nodes)
         sink = Position(150, 150)
-        dist = sink_distance_field(g, sink)
+        dist = sink_distance_field(g, sink, g.adjacency)
         for source in sorted(g.adjacency):
             route = min_hop_route(g, source, dist)
             if route is None:
@@ -242,7 +242,7 @@ class TestDeliverPacket:
         field, g, sink = graph_for([(0, 0), (40, 10), (40, -10)], (80, 0))
         field.nodes[1].energy = 6.0e-4
         field.nodes[2].energy = 5.0e-4
-        first_route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        first_route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         assert first_route.path == (0, 1)
         first = deliver_packet(field, MODEL, first_route)
         assert first.delivered
@@ -251,7 +251,7 @@ class TestDeliverPacket:
         from simoco.routing import remove_node
 
         remove_node(g, 1)
-        assert min_hop_route(g, 0, sink_distance_field(g, sink)).path == (0, 2)
+        assert min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency)).path == (0, 2)
 
 
 class TestOneHopCharge:
@@ -260,7 +260,7 @@ class TestOneHopCharge:
 
     def one_hop(self, sink_pos=(10, 0)):
         field, g, sink = graph_for([(0, 0)], sink_pos)
-        route = min_hop_route(g, 0, sink_distance_field(g, sink))
+        route = min_hop_route(g, 0, sink_distance_field(g, sink, g.adjacency))
         assert route.hop_count == 1
         return field, route
 
