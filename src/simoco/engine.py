@@ -31,6 +31,7 @@ import random
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import NetworkField, Position, generate_network, one_hop_neighbors
@@ -116,33 +117,44 @@ class Delivery(NamedTuple):
     delivered: bool
 
 
-# One delivery record, 25 bytes: int64 source and hop_count, float64 energy,
-# a bool delivered. Only `Deliveries` packs or reads it.
-RECORD = struct.Struct("<qqd?")
+# One run of equal delivery records, 26 bytes: int64 source and hop_count,
+# float64 energy, a bool delivered and a uint8 count of records, at most
+# MAX_RUN; a longer run is stored as several. Only `Deliveries` packs or reads it.
+RECORD = struct.Struct("<qqd?B")
+MAX_RUN = 255
 
 
 class Deliveries:
     """One round's delivery records, a read-only sequence of `Delivery` held
-    as one `bytes` object of packed records, which the garbage collector
-    never tracks. `rows()` is the one reader of that layout."""
+    as one `bytes` object, which the garbage collector never tracks, of runs
+    `(source, hop_count, energy, delivered, count)`: `count` equal records in
+    a row, as a mobile backlog hands over. `len()`, `rows()` and iteration
+    see the records; `runs()` reads the runs, as the fold and the export do."""
 
     __slots__ = ("_packed",)
 
-    def __init__(self, rows: Iterable[tuple] = ()):  # (source, hop_count, energy, delivered)
-        # One record at a time: a join would first hold a small bytes object
-        # per record, and their freed memory raised the peak RSS of an n=1600
-        # mobile run by about 2 MB.
+    def __init__(self, runs: Iterable[tuple] = ()):
+        # One run at a time: a join would first hold a small bytes object per
+        # run, and their freed memory raised the peak RSS of an n=1600 mobile
+        # run by about 2 MB.
         packed = bytearray()
-        for row in rows:
-            packed += RECORD.pack(*row)
+        for source, hop_count, energy, delivered, count in runs:
+            while count > MAX_RUN:
+                packed += RECORD.pack(source, hop_count, energy, delivered, MAX_RUN)
+                count -= MAX_RUN
+            packed += RECORD.pack(source, hop_count, energy, delivered, count)
         self._packed = bytes(packed)
+
+    def runs(self) -> Iterator[tuple[int, int, float, bool, int]]:
+        """The runs as plain (source, hop_count, energy, delivered, count) tuples."""
+        return RECORD.iter_unpack(self._packed)
 
     def rows(self) -> Iterator[tuple[int, int, float, bool]]:
         """The records as plain (source, hop_count, energy, delivered) tuples."""
-        return RECORD.iter_unpack(self._packed)
+        return chain.from_iterable(repeat(run[:4], run[4]) for run in self.runs())
 
     def __len__(self) -> int:
-        return len(self._packed) // RECORD.size
+        return sum(self._packed[RECORD.size - 1::RECORD.size])  # the counts, one byte each
 
     def __iter__(self) -> Iterator[Delivery]:
         return map(Delivery._make, self.rows())
@@ -280,8 +292,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         pos_indices = [(round_index - 1) % len(state.cycle) for state in states]
         sink_positions = tuple(state.cycle[j] for state, j in zip(states, pos_indices))
 
-        deliveries: list[tuple[int, int, float, bool]] = []
-        add_delivery = deliveries.append
+        runs: list[tuple[int, int, float, bool, int]] = []
+        add_run = runs.append
+        run_route, count = None, 0  # the open run's route and length, written in as it closes
         deaths: list[int] = []
         pending_deaths: set[int] = set()
         activity = [False, False, False, False]
@@ -295,7 +308,15 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     route = min_hop_route(graph, source, dist)
                     energy, delivered, died, underpowered = deliver_packet(field, model, route)
                     backlog[source] -= 1
-                    add_delivery((source, len(route.path), energy, delivered))
+                    # A route object serves one source; a field keeps one per one-hop
+                    # source, whose energy is its cost, and a death's fresh field ends a run.
+                    if route is run_route and delivered:
+                        count += 1
+                    else:
+                        if count > 1:
+                            runs[-1] = runs[-1][:4] + (count,)
+                        run_route, count = route, 1
+                        add_run((source, len(route.path), energy, delivered, 1))
                     if not delivered:
                         pending_deaths.update(underpowered)
                         break  # dropped: stop serving this source this round
@@ -313,7 +334,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                 node.alive = False
                 record_death(node_id)
 
-        rounds.append(RoundRecord(round_index, sink_positions, Deliveries(deliveries), tuple(deaths)))
+        if count > 1:
+            runs[-1] = runs[-1][:4] + (count,)
+        rounds.append(RoundRecord(round_index, sink_positions, Deliveries(runs), tuple(deaths)))
 
         for state, active, j in zip(states, activity, pos_indices):
             state.quiet = 0 if active or state.assigned_members[j] else state.quiet + 1
@@ -326,19 +349,23 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 def trace_lines(trace: SimulationTrace) -> list[str]:
     """Newline-delimited trace export, one JSON object per round, as
     `json.dumps` writes it: a trace holds no NaN or Infinity, so a float's
-    text is its `repr`. A record equal to its source's latest one, as in a
-    mobile backlog, reuses that text. A dropped record's `0.0` never meets
-    a `-0.0`: a delivered record's energy is a sum of positive costs."""
-    latest: dict[int, tuple[tuple, str]] = {}  # source -> (its last record, that record's text)
+    text is its `repr`. A run's record text is written `count` times, and
+    a run equal to its source's latest one, as a mobile sink's next visit
+    mostly is, reuses that text. A dropped record's `0.0` never meets a
+    `-0.0`: a delivered record's energy is a sum of positive costs."""
+    latest: dict[int, tuple[tuple, str]] = {}  # source -> (its last run, that run's record text)
     lines = []
     for rec in trace.rounds:
         texts = []
-        for row in rec.deliveries.rows():
-            hit = latest.get(row[0])
-            if hit is None or hit[0] != row:
-                s, h, e, ok = row
-                hit = latest[s] = row, f"[{s},{h},{e!r},{'true' if ok else 'false'}]"
-            texts.append(hit[1])
+        for run in rec.deliveries.runs():
+            hit = latest.get(run[0])
+            if hit is None or hit[0] != run:
+                s, h, e, ok, _ = run
+                hit = latest[s] = run, f"[{s},{h},{e!r},{'true' if ok else 'false'}]"
+            if run[4] == 1:  # every static run but a few
+                texts.append(hit[1])
+            else:
+                texts.extend(repeat(hit[1], run[4]))
         sinks = json.dumps([[p.x, p.y] for p in rec.sink_positions], separators=(",", ":"))
         deaths = json.dumps(list(rec.deaths), separators=(",", ":"))
         lines.append(f'{{"round":{rec.round_index},"sinks":{sinks},'

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .engine import MODES, RoundRecord, ScenarioConfig, SimulationTrace, run_scenario
@@ -45,11 +46,15 @@ def _fold(rounds: Iterable[RoundRecord], neighbor_sets: Sequence[frozenset[int]]
     first_death = None
     death_round: dict[int, int] = {}
     for rec in rounds:
-        for _, hop_count, cost, ok in rec.deliveries.rows():
+        for _, hop_count, cost, ok, count in rec.deliveries.runs():
             if ok:
-                energy += cost
-                hops += hop_count
-                delivered += 1
+                hops += hop_count * count
+                delivered += count
+                if count == 1:  # every static run but a few
+                    energy += cost
+                else:
+                    for _ in repeat(None, count):  # in order: cost * count rounds differently
+                        energy += cost
         if rec.deaths and first_death is None:
             first_death = rec.round_index
         for node_id in rec.deaths:

@@ -43,17 +43,17 @@ FAULTS = [
     ("idle sink off the quadrant centre", "engine.py",
      "(b.x_min + b.x_max) / 2.0", "b.x_min"),
     ("delivery energy packed as float32", "engine.py",
-     'struct.Struct("<qqd?")', 'struct.Struct("<qqf?")'),
+     'struct.Struct("<qqd?B")', 'struct.Struct("<qqf?B")'),
     ("_fold reads a record's energy and hop_count swapped", "metrics.py",
-     "for _, hop_count, cost, ok in", "for _, cost, hop_count, ok in"),
+     "for _, hop_count, cost, ok, count in", "for _, cost, hop_count, ok, count in"),
     ("export reads a record's source and hop_count swapped", "engine.py",
-     "s, h, e, ok = row", "h, s, e, ok = row"),
+     "s, h, e, ok, _ = run", "h, s, e, ok, _ = run"),
     ("_fold ignores the delivered flag", "metrics.py",
      "            if ok:", "            if True:"),
     ("delivered flag exported as 0 and 1", "engine.py",
      "{'true' if ok else 'false'}", "{ok}"),
     ("export reuses a record's text on its source alone", "engine.py",
-     "if hit is None or hit[0] != row:", "if hit is None:"),
+     "if hit is None or hit[0] != run:", "if hit is None:"),
     ("sink BFS stops before labelling its last target", "routing.py",
      "while queue and pending:", "while queue and len(pending) > 1:"),
     ("served members pruned to the one-hop ring", "engine.py",
@@ -62,6 +62,14 @@ FAULTS = [
      "0 if active or state.assigned_members[j] else", "0 if active else"),
     ("serving loop drops its reachability guard", "engine.py",
      "while backlog[source] > 0 and source in dist.hops:", "while backlog[source] > 0:"),
+    ("a run expands to one record too few", "engine.py",
+     "repeat(run[:4], run[4])", "repeat(run[:4], run[4] - 1)"),
+    ("_fold adds a run's energy as cost * count", "metrics.py",
+     "for _ in repeat(None, count):  # in order: cost * count rounds differently\n"
+     "                        energy += cost",
+     "energy += cost * count"),
+    ("a drop merged into the delivered run before it", "engine.py",
+     "if route is run_route and delivered:", "if route is run_route:"),
 ]
 
 

@@ -131,7 +131,7 @@ def run_reference(config):
                     path = route(field, graph, dist, source)
                     delivered, energy, died, short = send(field, config, path, sinks[k])
                     backlog[source] -= 1
-                    deliveries.append((source, len(path), energy, delivered))
+                    deliveries.append((source, len(path), energy, delivered, 1))  # a run of one
                     if not delivered:
                         underpowered.update(short)
                         break

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import simoco.engine as engine
 import simoco.metrics as metrics
-from reference import reference_trace_lines
+from reference import reference_trace_lines, run_reference
 from simoco import (
     Deliveries,
     Delivery,
     Position,
+    RoundRecord,
     ScenarioConfig,
     SojournTour,
     compute_report,
@@ -384,7 +385,7 @@ class TestDeliveryColumns:
         for rec in trace.rounds:
             packed = [obj for obj in gc.get_referents(rec.deliveries) if obj is not Deliveries]
             assert [type(obj) for obj in packed] == [bytes] and not gc.is_tracked(packed[0])
-            assert len(packed[0]) == 25 * len(rec.deliveries)
+            assert len(packed[0]) == engine.RECORD.size * len(tuple(rec.deliveries.runs()))
         gc.collect()
         with_rounds = len(gc.get_objects())
         trace.rounds.clear()
@@ -397,11 +398,50 @@ class TestDeliveryColumns:
         records = tuple(rec.deliveries)
         assert len(records) == len(rec.deliveries) > 1
         assert all(type(d) is Delivery and type(d.delivered) is bool for d in records)
-        assert tuple(Deliveries(records)) == records
+        assert tuple(Deliveries((*d, 1) for d in records)) == records
         assert tuple(rec.deliveries.rows()) == tuple(map(tuple, records))
         changed = records[:-1] + (records[-1]._replace(hop_count=records[-1].hop_count + 1),)
-        assert tuple(Deliveries(changed)) != records
+        assert tuple(Deliveries((*d, 1) for d in changed)) != records
         assert tuple(Deliveries()) == () and len(Deliveries()) == 0
+
+    def test_a_mobile_backlog_is_stored_as_runs(self):
+        config = ScenarioConfig(mode="mobile", n=100, seed=3)
+        trace = run_scenario(config)
+        records = sum(len(rec.deliveries) for rec in trace.rounds)
+        runs = sum(1 for rec in trace.rounds for _ in rec.deliveries.runs())
+        assert (records, runs) == (282_113, 66_993)
+        # the per-packet reference engine stores runs of one; 30 rounds span
+        # several visits of every sink's cycle, 3 to 6 positions long
+        expected = run_reference(replace(config, max_rounds=30)).rounds
+        assert [tuple(rec.deliveries) for rec in trace.rounds[:30]] == [
+            tuple(rec.deliveries) for rec in expected]
+
+    @pytest.mark.parametrize("k", [1, 2, engine.MAX_RUN, engine.MAX_RUN + 1, 600])
+    def test_len_rows_and_iteration_agree_on_a_run_of_k(self, k):
+        deliveries = Deliveries([(3, 1, 1e-4, True, k), (4, 2, 0.0, False, 1)])
+        rows = ((3, 1, 1e-4, True),) * k + ((4, 2, 0.0, False),)
+        assert len(deliveries) == len(rows)
+        assert tuple(deliveries.rows()) == rows
+        assert tuple(deliveries) == tuple(map(Delivery._make, rows))
+        # a run longer than the count can hold is stored as several
+        assert len(tuple(deliveries.runs())) == -(-k // engine.MAX_RUN) + 1
+
+    @given(st.lists(st.lists(st.tuples(
+        st.integers(0, 5), st.integers(1, 4), st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)),
+        st.booleans(), st.integers(1, 2 * engine.MAX_RUN)), max_size=6), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_fold_and_export_read_runs_as_their_records(self, rounds_of_runs):
+        setup = deploy(small(n=4, max_rounds=1))
+
+        def trace(rows_of):
+            return replace(setup, rounds=[
+                RoundRecord(i, (Position(0.0, 0.0),) * 4, Deliveries(rows_of(runs)), ())
+                for i, runs in enumerate(rounds_of_runs, start=1)])
+
+        as_runs = trace(lambda runs: runs)
+        as_ones = trace(lambda runs: [run[:4] + (1,) for run in runs for _ in range(run[4])])
+        assert compute_report(as_runs) == compute_report(as_ones)  # floats compared with ==
+        assert trace_lines(as_runs) == trace_lines(as_ones) == reference_trace_lines(as_ones)
 
     def test_round_record_is_slotted_frozen_and_hashable(self):
         rec = run_scenario(small(n=10, seed=1, max_rounds=2)).rounds[0]

@@ -28,7 +28,7 @@ SINKS = tuple(Position(0.0, 0.0) for _ in range(4))
 
 
 def round_rec(idx, deliveries=(), deaths=()):
-    return RoundRecord(idx, SINKS, Deliveries(deliveries), tuple(deaths))
+    return RoundRecord(idx, SINKS, Deliveries((*d, 1) for d in deliveries), tuple(deaths))
 
 
 def fake_trace(rounds, neighbor_sets=None):
