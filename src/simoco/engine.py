@@ -17,7 +17,7 @@ All randomness flows from the scenario seed: deployment uses
 random.Random(seed), traffic sampling uses random.Random(f"traffic:{seed}").
 Identical configs therefore produce bit-identical traces.
 
-A partition is quiet in a round with no delivery, no death and no served
+A partition is quiet in a round with no record of its own and no served
 member that its current sink position reaches. A run ends at max_rounds,
 when every node is dead, or once every partition has been quiet for a full
 sink cycle, after which no member can ever send and nothing can change.
@@ -128,8 +128,8 @@ class Deliveries:
     """One round's delivery records, a read-only sequence of `Delivery` held
     as one `bytes` object, which the garbage collector never tracks, of runs
     `(source, hop_count, energy, delivered, count)`: `count` equal records in
-    a row, as a mobile backlog hands over. `len()`, `rows()` and iteration
-    see the records; `runs()` reads the runs, as the fold and the export do."""
+    a row, as a mobile backlog hands over. `len()` and iteration see the
+    records; `runs()` reads the runs, as the fold and the export do."""
 
     __slots__ = ("_packed",)
 
@@ -149,15 +149,12 @@ class Deliveries:
         """The runs as plain (source, hop_count, energy, delivered, count) tuples."""
         return RECORD.iter_unpack(self._packed)
 
-    def rows(self) -> Iterator[tuple[int, int, float, bool]]:
-        """The records as plain (source, hop_count, energy, delivered) tuples."""
-        return chain.from_iterable(repeat(run[:4], run[4]) for run in self.runs())
-
     def __len__(self) -> int:
         return sum(self._packed[RECORD.size - 1::RECORD.size])  # the counts, one byte each
 
     def __iter__(self) -> Iterator[Delivery]:
-        return map(Delivery._make, self.rows())
+        return map(Delivery._make,
+                   chain.from_iterable(repeat(run[:4], run[4]) for run in self.runs()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +180,8 @@ class _PartitionState:
     """Mutable runtime of one partition, an empty one included: sink cycle,
     connectivity graph, and per position a distance field and the members it
     serves, which each new field prunes to those it reached: the graph only
-    loses nodes and a position never moves, so the rest can never send."""
+    loses nodes and a position never moves, so the rest can never send.
+    `on_death` is the one place a node dies: it flags, logs and prunes it."""
 
     __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
 
@@ -213,7 +211,9 @@ class _PartitionState:
             self.assigned_members[pos_idx] = tuple(m for m in members if m in df.hops)
         return df
 
-    def on_death(self, node_id: int) -> None:
+    def on_death(self, node_id: int, deaths: list[int]) -> None:
+        self.graph.field.nodes[node_id].alive = False
+        deaths.append(node_id)
         remove_node(self.graph, node_id)
         self.dist_fields.clear()
 
@@ -262,20 +262,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     ]
 
     nodes = field.nodes
-    part_of = [0] * len(nodes)
-    for k, part in enumerate(trace.partitions):
-        for node_id in part.member_ids:
-            part_of[node_id] = k
-
     traffic_rng = random.Random(f"traffic:{config.seed}")
     backlog = [0] * len(nodes)
-
-    def record_death(node_id: int) -> None:
-        """Log a death in the current round's `deaths` and `activity`."""
-        deaths.append(node_id)
-        k = part_of[node_id]
-        states[k].on_death(node_id)
-        activity[k] = True
 
     for round_index in range(1, config.max_rounds + 1):
         alive_ids = [node.id for node in nodes if node.alive]
@@ -296,11 +284,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         add_run = runs.append
         run_route, count = None, 0  # the open run's route and length, written in as it closes
         deaths: list[int] = []
-        pending_deaths: set[int] = set()
-        activity = [False, False, False, False]
+        pending_deaths: dict[int, _PartitionState] = {}  # node -> the state that routed it
 
-        for k, state in enumerate(states):
-            pos_idx = pos_indices[k]
+        for state, pos_idx in zip(states, pos_indices):
+            first_run = len(runs)
             graph, dist = state.graph, state.dist_field_at(pos_idx)
             # a fresh field holds only alive, reachable nodes, and every death refreshes it
             for source in state.assigned_members[pos_idx]:
@@ -318,28 +305,25 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                         run_route, count = route, 1
                         add_run((source, len(route.path), energy, delivered, 1))
                     if not delivered:
-                        pending_deaths.update(underpowered)
+                        pending_deaths.update(dict.fromkeys(underpowered, state))
                         break  # dropped: stop serving this source this round
-                    activity[k] = True
                     if died:
                         for dead_id in died:
-                            record_death(dead_id)
+                            state.on_death(dead_id, deaths)
                         dist = state.dist_field_at(pos_idx)
+            # a death follows its partition's delivery or drop in the same round
+            quiet = len(runs) == first_run and not state.assigned_members[pos_idx]
+            state.quiet = state.quiet + 1 if quiet else 0
 
         # Underpowered nodes could not afford a packet they were routed on;
         # nothing was deducted from them, but they leave the network now.
-        for node_id in sorted(pending_deaths):
-            node = nodes[node_id]
-            if node.alive:
-                node.alive = False
-                record_death(node_id)
+        for node_id, owner in sorted(pending_deaths.items()):  # unique keys: no state compared
+            if nodes[node_id].alive:
+                owner.on_death(node_id, deaths)
 
         if count > 1:
             runs[-1] = runs[-1][:4] + (count,)
         rounds.append(RoundRecord(round_index, sink_positions, Deliveries(runs), tuple(deaths)))
-
-        for state, active, j in zip(states, activity, pos_indices):
-            state.quiet = 0 if active or state.assigned_members[j] else state.quiet + 1
         if all(state.quiet >= len(state.cycle) for state in states):
             break
 

@@ -175,8 +175,8 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
     """Charge one packet's traversal of `route`: each node pays its share in
     `route.costs`, the sink nothing. Delivery is atomic: if any node cannot
     afford its share, the packet drops, nothing is deducted, and the
-    offenders are reported as underpowered (the caller marks them dead at
-    round end). Nodes left below the death threshold are marked dead here.
+    offenders are reported as underpowered (dead at round end); else nodes
+    left below the death threshold are reported as died. The caller marks both.
     """
     # Records are built by tuple.__new__, which skips the NamedTuple's own
     # Python-level __new__; this runs once per packet.
@@ -192,7 +192,6 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
             return tuple.__new__(DeliveryRecord, (0.0, False, (), path))
         node.energy = energy = energy - cost
         if energy < threshold:
-            node.alive = False
             return tuple.__new__(DeliveryRecord, (cost, True, path, ()))
         return tuple.__new__(DeliveryRecord, (cost, True, (), ()))
     underpowered = []
@@ -211,6 +210,5 @@ def deliver_packet(field: NetworkField, model: RadioEnergyModel, route: Route) -
         node.energy -= cost
         total += cost
         if node.energy < threshold:
-            node.alive = False
             died.append(node_id)
     return tuple.__new__(DeliveryRecord, (total, True, tuple(died), ()))

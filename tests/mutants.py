@@ -23,7 +23,7 @@ FAULTS = [
     ("reversed id tie-break in min_hop_route", "routing.py",
      "if energy > best_energy:", "if energy >= best_energy:"),
     ("dropped pending death", "engine.py",
-     "pending_deaths.update(underpowered)", "pass"),
+     "pending_deaths.update(dict.fromkeys(underpowered, state))", "pass"),
     ("SinkField cache kept across a death", "engine.py",
      "self.dist_fields.clear()", "pass"),
     ("death threshold <= in place of <", "routing.py",
@@ -59,7 +59,7 @@ FAULTS = [
     ("served members pruned to the one-hop ring", "engine.py",
      "if m in df.hops)", "if m in df.direct)"),
     ("quiet count ignores the served members", "engine.py",
-     "0 if active or state.assigned_members[j] else", "0 if active else"),
+     "and not state.assigned_members[pos_idx]", ""),
     ("serving loop drops its reachability guard", "engine.py",
      "while backlog[source] > 0 and source in dist.hops:", "while backlog[source] > 0:"),
     ("a run expands to one record too few", "engine.py",
@@ -70,6 +70,12 @@ FAULTS = [
      "energy += cost * count"),
     ("a drop merged into the delivered run before it", "engine.py",
      "if route is run_route and delivered:", "if route is run_route:"),
+    ("a death leaves its node flagged alive", "engine.py",
+     "self.graph.field.nodes[node_id].alive = False", "pass"),
+    ("a partition that wrote records counted quiet", "engine.py",
+     "quiet = len(runs) == first_run and", "quiet = True and"),
+    ("multi-hop threshold death not reported", "routing.py",
+     "died.append(node_id)", "pass"),
 ]
 
 

@@ -231,6 +231,12 @@ class TestConfigFileAndOverrides:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "bad.cfg:3: config key 'n' given twice" in capsys.readouterr().err
 
+    def test_line_without_equals_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode mobile\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"{cfg}:1: expected key = value" in capsys.readouterr().err
+
     def test_bad_value_type_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = many\n")

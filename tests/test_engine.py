@@ -399,7 +399,7 @@ class TestDeliveryColumns:
         assert len(records) == len(rec.deliveries) > 1
         assert all(type(d) is Delivery and type(d.delivered) is bool for d in records)
         assert tuple(Deliveries((*d, 1) for d in records)) == records
-        assert tuple(rec.deliveries.rows()) == tuple(map(tuple, records))
+        assert tuple(map(tuple, rec.deliveries)) == tuple(map(tuple, records))
         changed = records[:-1] + (records[-1]._replace(hop_count=records[-1].hop_count + 1),)
         assert tuple(Deliveries((*d, 1) for d in changed)) != records
         assert tuple(Deliveries()) == () and len(Deliveries()) == 0
@@ -421,7 +421,7 @@ class TestDeliveryColumns:
         deliveries = Deliveries([(3, 1, 1e-4, True, k), (4, 2, 0.0, False, 1)])
         rows = ((3, 1, 1e-4, True),) * k + ((4, 2, 0.0, False),)
         assert len(deliveries) == len(rows)
-        assert tuple(deliveries.rows()) == rows
+        assert tuple(map(tuple, deliveries)) == rows
         assert tuple(deliveries) == tuple(map(Delivery._make, rows))
         # a run longer than the count can hold is stored as several
         assert len(tuple(deliveries.runs())) == -(-k // engine.MAX_RUN) + 1
