@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Position(NamedTuple):
@@ -40,6 +40,29 @@ def centroid(points: list[Position]) -> Position:
         raise ValueError("empty point set")
     n = len(points)
     return Position(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
+
+
+class Grid:
+    """Keys bucketed by position into square cells, the one spatial index of
+    every range query: the 3x3 cells around a point hold every key within
+    `reach` of it, for the caller to filter with `math.dist`. A cell is
+    `reach * (1 + 2**-20)` wide, so that rounding in `x / side` never puts a
+    pair at exactly `reach` two cells apart (for |x| below 2**32 cells)."""
+
+    def __init__(self, reach: float, items: Iterable[tuple[int, Position]]):
+        self.side = reach * (1.0 + 2.0**-20)
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        for key, pos in items:
+            self.cells.setdefault(self.cell(pos), []).append(key)
+
+    def cell(self, p: Position) -> tuple[int, int]:
+        return math.floor(p[0] / self.side), math.floor(p[1] / self.side)
+
+    def near(self, p: Position) -> list[int]:
+        """The keys of the 3x3 cells around p, in no useful order."""
+        cx, cy = self.cell(p)
+        return [key for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                for key in self.cells.get((cx + dx, cy + dy), ())]
 
 
 def one_hop_neighbors(field: NetworkField, p: Position) -> set[int]:

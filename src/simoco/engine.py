@@ -10,7 +10,9 @@ accumulated packets in the round the sink sojourns at the tour position
 serving it, which by the tour's coverage guarantee is a single-hop
 exchange. Static mode is exactly the mobile machinery with a one-position
 cycle: every sink has a tour, and a static or idle sink's is its position
-alone. `deploy` returns the setup as a trace with no rounds; `run_scenario`
+alone. A backlog is the packets generated less those sent; under full
+traffic a node has generated `round_index`, so no round scans all n nodes.
+`deploy` returns the setup as a trace with no rounds; `run_scenario`
 deploys and appends the rounds.
 
 All randomness flows from the scenario seed: deployment uses
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .core import NetworkField, Position, generate_network, one_hop_neighbors
+from .core import Grid, NetworkField, Position, generate_network, one_hop_neighbors
 from .mobility import SojournTour, generate_tour
 from .partitioning import Partition, quadrant_partition
 from .placement import SinkPlacement, cnp_initial_sink_position
@@ -181,6 +183,8 @@ class _PartitionState:
     connectivity graph, and per position a distance field and the members it
     serves, which each new field prunes to those it reached: the graph only
     loses nodes and a position never moves, so the rest can never send.
+    A member is served at the nearest covering position of its 3x3 grid
+    cells, the earliest of equals (tour coverage), else at the nearest.
     `on_death` is the one place a node dies: it flags, logs and prunes it."""
 
     __slots__ = ("cycle", "assigned_members", "graph", "dist_fields", "quiet")
@@ -188,15 +192,13 @@ class _PartitionState:
     def __init__(self, partition: Partition, field: NetworkField, model: RadioEnergyModel,
                  cycle: tuple[Position, ...]):
         self.cycle = cycle
-        # Each member is served at the cycle position nearest to it, preferring
-        # positions that cover it (guaranteed to exist by tour coverage);
-        # remaining ties break on the earliest position index, which min keeps.
-        r = field.comm_range
+        r, grid = field.comm_range, Grid(field.comm_range, enumerate(cycle))
         groups: list[list[int]] = [[] for _ in cycle]
         for node_id in partition.member_ids:
             pos = field.nodes[node_id].pos
-            gap = [math.dist(pos, q) for q in cycle]
-            groups[min(range(len(cycle)), key=lambda j: (gap[j] > r, gap[j]))].append(node_id)
+            covering = [(gap, j) for j in grid.near(pos) if (gap := math.dist(pos, cycle[j])) <= r]
+            everywhere = ((math.dist(pos, q), j) for j, q in enumerate(cycle))  # lazy
+            groups[min(covering or everywhere)[1]].append(node_id)  # nearest, then earliest
         self.assigned_members = [tuple(g) for g in groups]
         self.graph = build_graph(field, partition, model)
         self.dist_fields: dict[int, SinkField] = {}
@@ -263,47 +265,50 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
     nodes = field.nodes
     traffic_rng = random.Random(f"traffic:{config.seed}")
-    backlog = [0] * len(nodes)
+    full = config.sources_per_round is None  # every alive node generates one a round
+    generated = None if full else [0] * len(nodes)
+    sent = [0] * len(nodes)  # handed over, delivered or dropped
+    alive = len(nodes)
 
     for round_index in range(1, config.max_rounds + 1):
-        alive_ids = [node.id for node in nodes if node.alive]
-        if not alive_ids:
+        if not alive:
             break
-
-        sources = (
-            alive_ids if config.sources_per_round is None
-            else traffic_rng.sample(alive_ids, min(config.sources_per_round, len(alive_ids)))
-        )
-        for node_id in sources:
-            backlog[node_id] += 1
+        if not full:
+            alive_ids = [node.id for node in nodes if node.alive]  # ascending
+            for node_id in traffic_rng.sample(alive_ids, min(config.sources_per_round, alive)):
+                generated[node_id] += 1
 
         pos_indices = [(round_index - 1) % len(state.cycle) for state in states]
         sink_positions = tuple(state.cycle[j] for state, j in zip(states, pos_indices))
 
         runs: list[tuple[int, int, float, bool, int]] = []
         add_run = runs.append
-        run_route, count = None, 0  # the open run's route and length, written in as it closes
         deaths: list[int] = []
         pending_deaths: dict[int, _PartitionState] = {}  # node -> the state that routed it
 
         for state, pos_idx in zip(states, pos_indices):
             first_run = len(runs)
             graph, dist = state.graph, state.dist_field_at(pos_idx)
-            # a fresh field holds only alive, reachable nodes, and every death refreshes it
             for source in state.assigned_members[pos_idx]:
-                while backlog[source] > 0 and source in dist.hops:
+                generated_now = round_index if full else generated[source]
+                # a fresh field holds only alive, reachable nodes, and every death refreshes it
+                while sent[source] < generated_now and source in dist.hops:
                     route = min_hop_route(graph, source, dist)
                     energy, delivered, died, underpowered = deliver_packet(field, model, route)
-                    backlog[source] -= 1
-                    # A route object serves one source; a field keeps one per one-hop
-                    # source, whose energy is its cost, and a death's fresh field ends a run.
-                    if route is run_route and delivered:
-                        count += 1
-                    else:
-                        if count > 1:
-                            runs[-1] = runs[-1][:4] + (count,)
-                        run_route, count = route, 1
-                        add_run((source, len(route.path), energy, delivered, 1))
+                    count = 1
+                    if len(route.path) == 1:
+                        # A one-hop route is its source's until it drops or dies, so
+                        # the rest of the backlog is served here, as one run.
+                        backlog = generated_now - sent[source]
+                        while delivered and not died and count < backlog:
+                            last, delivered, died, underpowered = deliver_packet(
+                                field, model, min_hop_route(graph, source, dist))
+                            count += 1
+                    sent[source] += count
+                    if not delivered and count > 1:  # the drop is a run of its own
+                        add_run((source, 1, energy, True, count - 1))
+                        energy, count = last, 1
+                    add_run((source, len(route.path), energy, delivered, count))
                     if not delivered:
                         pending_deaths.update(dict.fromkeys(underpowered, state))
                         break  # dropped: stop serving this source this round
@@ -321,8 +326,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             if nodes[node_id].alive:
                 owner.on_death(node_id, deaths)
 
-        if count > 1:
-            runs[-1] = runs[-1][:4] + (count,)
+        alive -= len(deaths)
         rounds.append(RoundRecord(round_index, sink_positions, Deliveries(runs), tuple(deaths)))
         if all(state.quiet >= len(state.cycle) for state in states):
             break

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import NetworkField, Position
+from .core import Grid, NetworkField, Position
 from .partitioning import Partition
 from .placement import SinkPlacement
 
@@ -89,20 +89,25 @@ def generate_tour(field: NetworkField, partition: Partition, sink: SinkPlacement
     While the buffer head stays fixed each step shortens its distance by
     exactly comm_range, so the head is removed after finitely many steps
     and the loop terminates; the iteration cap converts any latent bug
-    into a clean error instead of a hang.
+    into a clean error instead of a hang. A step's covered entries come
+    from a grid and the head is the first entry not covered, so a walk
+    costs the buffer plus its steps, not their product.
     """
     entries = build_coverage_buffer(field, partition, sink.position)
     r = field.comm_range
     cap = 4 * len(field.nodes) * math.ceil(field.side * math.sqrt(2.0) / r)
+    grid = Grid(r, ((i, e.pos) for i, e in enumerate(entries)))
+    head, covered = 0, set()
     current = sink.position
     points: list[Position] = []
-    while entries:
+    while head < len(entries):
         if len(points) >= cap:
             raise RuntimeError(f"tour did not converge within {cap} steps")
-        target = entries[0]
-        current = next_sojourn_point(current, target.pos, r)
+        current = next_sojourn_point(current, entries[head].pos, r)
         points.append(current)
-        entries = [e for e in entries if math.dist(e.pos, current) > r]
+        covered.update(i for i in grid.near(current) if math.dist(entries[i].pos, current) <= r)
+        while head in covered:
+            head += 1
     return SojournTour(partition.id, sink.position, tuple(points))
 
 

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .core import NetworkField, Position
+from .core import Grid, NetworkField, Position
 from .partitioning import Partition
 
 # The sink is a position, so no route or distance field holds this id. Only
@@ -33,11 +33,13 @@ class ConnectivityGraph:
     """Undirected graph over one partition's alive members, the keys of
     `adjacency`; `adjacency[u][v]` is u's tx cost, priced once under `model`,
     to a neighbor v within comm_range. Residual energy is read at routing time.
+    `grid` holds the members the graph was built from, dead ones included.
     """
 
     field: NetworkField
     model: RadioEnergyModel
     adjacency: dict[int, dict[int, float]]
+    grid: Grid
 
 
 class Route(NamedTuple):
@@ -87,15 +89,19 @@ def rx_energy(model: RadioEnergyModel) -> float:
 def build_graph(
     field: NetworkField, partition: Partition, model: RadioEnergyModel
 ) -> ConnectivityGraph:
-    r = field.comm_range
-    alive = [field.nodes[i] for i in partition.member_ids if field.nodes[i].alive]
-    adjacency: dict[int, dict[int, float]] = {node.id: {} for node in alive}
-    for i, a in enumerate(alive):
-        for b in alive[i + 1 :]:
-            d = math.dist(a.pos, b.pos)
+    """The alive members joined within comm_range, found through a grid: each
+    pair measured once, from its lower id, and every dict ascending by id."""
+    nodes, r = field.nodes, field.comm_range
+    alive = [i for i in partition.member_ids if nodes[i].alive]  # ascending
+    grid = Grid(r, ((i, nodes[i].pos) for i in alive))
+    adjacency: dict[int, dict[int, float]] = {i: {} for i in alive}
+    for u in alive:
+        a, row = nodes[u].pos, adjacency[u]
+        for v in sorted(v for v in grid.near(a) if v > u):
+            d = math.dist(a, nodes[v].pos)
             if d <= r:
-                adjacency[a.id][b.id] = adjacency[b.id][a.id] = tx_energy(model, d)
-    return ConnectivityGraph(field, model, adjacency)
+                row[v] = adjacency[v][u] = tx_energy(model, d)
+    return ConnectivityGraph(field, model, adjacency, grid)
 
 
 def remove_node(graph: ConnectivityGraph, node_id: int) -> None:
@@ -108,7 +114,8 @@ def sink_distance_field(
     graph: ConnectivityGraph, sink_pos: Position, targets: Iterable[int]
 ) -> SinkField:
     """Hop distance to a sink at `sink_pos` (BFS); the nodes within
-    comm_range of the sink are one hop away. The search stops once every
+    comm_range of the sink are one hop away, a ring read in ascending id
+    from the 3x3 grid cells around the sink. The search stops once every
     alive node of `targets` that can reach the sink has its hop count; by
     then every node closer than a target has one too, so the targets'
     routes are those of a full search, and a target left out cannot reach
@@ -116,7 +123,7 @@ def sink_distance_field(
     nodes, r, adjacency = graph.field.nodes, graph.field.comm_range, graph.adjacency
     hops, direct = {}, {}
     queue: deque[int] = deque()
-    for node_id in adjacency:
+    for node_id in sorted(v for v in graph.grid.near(sink_pos) if v in adjacency):
         d = math.dist(nodes[node_id].pos, sink_pos)
         if d <= r:
             hops[node_id] = 1

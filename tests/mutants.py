@@ -37,7 +37,7 @@ FAULTS = [
     ("one-hop underpowered source charged", "routing.py",
      "if energy < cost:", "if energy < cost and False:"),
     ("mobile member served at a non-covering position", "engine.py",
-     "(gap[j] > r, gap[j])", "(gap[j] <= r, gap[j])"),
+     "math.dist(pos, cycle[j])) <= r]", "math.dist(pos, cycle[j])) > r]"),
     ("static sink given its mobile tour", "engine.py",
      'elif config.mode == "mobile":', 'elif config.mode != "mobile":'),
     ("idle sink off the quadrant centre", "engine.py",
@@ -61,7 +61,8 @@ FAULTS = [
     ("quiet count ignores the served members", "engine.py",
      "and not state.assigned_members[pos_idx]", ""),
     ("serving loop drops its reachability guard", "engine.py",
-     "while backlog[source] > 0 and source in dist.hops:", "while backlog[source] > 0:"),
+     "while sent[source] < generated_now and source in dist.hops:",
+     "while sent[source] < generated_now:"),
     ("a run expands to one record too few", "engine.py",
      "repeat(run[:4], run[4])", "repeat(run[:4], run[4] - 1)"),
     ("_fold adds a run's energy as cost * count", "metrics.py",
@@ -69,13 +70,19 @@ FAULTS = [
      "                        energy += cost",
      "energy += cost * count"),
     ("a drop merged into the delivered run before it", "engine.py",
-     "if route is run_route and delivered:", "if route is run_route:"),
+     "if not delivered and count > 1:", "if False:"),
     ("a death leaves its node flagged alive", "engine.py",
      "self.graph.field.nodes[node_id].alive = False", "pass"),
     ("a partition that wrote records counted quiet", "engine.py",
      "quiet = len(runs) == first_run and", "quiet = True and"),
     ("multi-hop threshold death not reported", "routing.py",
      "died.append(node_id)", "pass"),
+    ("grid query skips a neighbour cell", "core.py",
+     "for dx in (-1, 0, 1) for dy", "for dx in (0, 1) for dy"),
+    ("full-traffic backlog off by one round", "engine.py",
+     "generated_now = round_index if full", "generated_now = round_index - 1 if full"),
+    ("a round's deaths not subtracted from the alive count", "engine.py",
+     "alive -= len(deaths)", "pass"),
 ]
 
 

@@ -6,9 +6,10 @@ cache and no fast path. For every packet it rebuilds the partition's graph
 of alive nodes, runs the breadth-first search from the sink position, walks
 a fewest-hop route that picks the next hop by highest residual energy and
 then lowest id, prices every hop from the radio model and charges the packet
-all at once or not at all. Only deployment, CNP placement and the SiMoCo
-tour walk are shared with the engine; each sink's cycle, an idle sink's
-quadrant centre and the position serving each node are computed here.
+all at once or not at all. Only deployment, CNP placement and the sojourn
+step's geometry are shared with the engine; the tour walk, each sink's
+cycle, an idle sink's quadrant centre and the position serving each node
+are computed here, each by a scan of every candidate.
 """
 
 import json
@@ -17,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import replace
 
-from simoco import Deliveries, Position, RoundRecord, SojournTour, deploy, generate_tour
+from simoco import Deliveries, Position, RoundRecord, SojournTour, deploy, next_sojourn_point
 from simoco.partitioning import quadrant_index
 
 
@@ -76,6 +77,22 @@ def send(field, config, path, sink):
     return True, total, died, []
 
 
+def tour_walk(field, partition, start):
+    """The SiMoCo tour's points, as the mobility docstring states the walk:
+    members farther than the range go into a buffer, farthest first (ties:
+    lowest id); the sink steps one range toward the buffer head, and after
+    each step the whole buffer is scanned for the nodes now in range."""
+    r = field.comm_range
+    gap = {u: math.dist(field.nodes[u].pos, start) for u in partition.member_ids}
+    buffer = sorted((u for u in partition.member_ids if gap[u] > r), key=lambda u: (-gap[u], u))
+    points, current = [], start
+    while buffer:
+        current = next_sojourn_point(current, field.nodes[buffer[0]].pos, r)
+        points.append(current)
+        buffer = [u for u in buffer if math.dist(field.nodes[u].pos, current) > r]
+    return tuple(points)
+
+
 def run_reference(config):
     """Simulate `config` from scratch, packet by packet."""
     setup = deploy(config)
@@ -87,7 +104,7 @@ def run_reference(config):
         if placement is None:
             cycles.append((centre,))
         elif config.mode == "mobile":
-            cycles.append(generate_tour(field, partition, placement).cycle())
+            cycles.append((placement.position,) + tour_walk(field, partition, placement.position))
         else:
             cycles.append((placement.position,))
 

@@ -399,7 +399,9 @@ class TestDeliveryColumns:
         assert len(records) == len(rec.deliveries) > 1
         assert all(type(d) is Delivery and type(d.delivered) is bool for d in records)
         assert tuple(Deliveries((*d, 1) for d in records)) == records
-        assert tuple(map(tuple, rec.deliveries)) == tuple(map(tuple, records))
+        # iteration expands each stored run into `count` equal records, in order
+        expanded = tuple(run[:4] for run in rec.deliveries.runs() for _ in range(run[4]))
+        assert tuple(map(tuple, records)) == expanded
         changed = records[:-1] + (records[-1]._replace(hop_count=records[-1].hop_count + 1),)
         assert tuple(Deliveries((*d, 1) for d in changed)) != records
         assert tuple(Deliveries()) == () and len(Deliveries()) == 0
@@ -449,6 +451,28 @@ class TestDeliveryColumns:
         with pytest.raises(AttributeError):  # FrozenInstanceError is one
             rec.round_index = 5
         assert hash(rec) == hash(replace(rec)) and rec == replace(rec)
+
+
+def test_setup_measures_a_bounded_number_of_pairs_per_node(monkeypatch):
+    """Setup queries the grid, not every pair: deploying an n=6,400 mobile
+    scenario and building its partition states measures about 44 pairs per
+    node. Calls are counted, not timed; an all-pairs setup makes millions."""
+    calls = 0
+    dist = math.dist
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return dist(p, q)
+
+    monkeypatch.setattr(math, "dist", counted)
+    config = ScenarioConfig(mode="mobile", n=6400, seed=1)
+    setup = deploy(config)
+    states = [engine._PartitionState(partition, setup.field, config.radio(), tour.cycle())
+              for partition, tour in zip(setup.partitions, setup.tours)]
+    assert sum(len(members) for state in states for members in state.assigned_members) == 6400
+    assert sum(len(tour.points) for tour in setup.tours) > 100  # the tour walk ran too
+    assert calls <= 100 * config.n
 
 
 class TestFunnellingContrast:
